@@ -31,6 +31,7 @@ void
 Controller::addDemand(int requestor, sim::GiBps demand,
                       bool high_priority, sim::Nanoseconds latency_extra)
 {
+    KELP_ASSERT(requestor >= 0, "negative requestor id ", requestor);
     KELP_ASSERT(demand >= 0.0, "negative bandwidth demand");
     if (demand <= 0.0)
         return;
@@ -67,7 +68,11 @@ Controller::resolve(sim::Time dt)
                            delivered_ == del,
                        "controller demand-cache hit diverged from "
                        "full arbitration (mc ", id_, ")");
-        for (const auto &[req, g] : saved_grants) {
+        KELP_INVARIANT(grants_.ids() == saved_grants.ids(),
+                       "controller demand-cache hit diverged: "
+                       "requestor set changed (mc ", id_, ")");
+        for (int req : saved_grants.ids()) {
+            const Grant &g = *saved_grants.find(req);
             const Grant cur = grant(req);
             KELP_INVARIANT(cur.delivered == g.delivered &&
                                cur.fraction == g.fraction &&
@@ -181,10 +186,8 @@ Controller::fastForward(uint64_t n, sim::Time dt)
 Grant
 Controller::grant(int requestor) const
 {
-    auto it = grants_.find(requestor);
-    if (it == grants_.end())
-        return Grant{0.0, 1.0, latency_};
-    return it->second;
+    const Grant *g = grants_.find(requestor);
+    return g ? *g : Grant{0.0, 1.0, latency_};
 }
 
 } // namespace mem

@@ -20,10 +20,10 @@
 #ifndef KELP_MEM_CONTROLLER_HH
 #define KELP_MEM_CONTROLLER_HH
 
-#include <unordered_map>
 #include <vector>
 
 #include "mem/latency_curve.hh"
+#include "mem/requestor_table.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
@@ -81,7 +81,8 @@ class Controller
     /**
      * Register demand for this tick.
      *
-     * @param requestor Task identifier.
+     * @param requestor Task identifier (>= 0; grants are kept in a
+     *        table indexed by it).
      * @param demand Requested bandwidth, GiB/s.
      * @param high_priority Only meaningful under RequestPriority.
      * @param latency_extra Additional per-request latency (e.g., the
@@ -177,7 +178,7 @@ class Controller
     bool cacheValid_ = false;
     uint64_t cacheHits_ = 0;
     uint64_t cacheMisses_ = 0;
-    std::unordered_map<int, Grant> grants_;
+    RequestorTable<Grant> grants_;
     double utilization_ = 0.0;
     sim::Nanoseconds latency_;
     sim::GiBps delivered_ = 0.0;

@@ -75,6 +75,11 @@ MemSystem::addFlow(int requestor, const Route &route, sim::GiBps demand,
                 "flow home socket out of range");
     KELP_ASSERT(route.reqSocket >= 0 && route.reqSocket < numSockets(),
                 "flow request socket out of range");
+    KELP_ASSERT(route.homeSub == 0 || route.homeSub == 1,
+                "flow home subdomain out of range");
+    KELP_ASSERT(route.reqSub == 0 || route.reqSub == 1,
+                "flow request subdomain out of range");
+    KELP_ASSERT(requestor >= 0, "negative requestor id ", requestor);
     if (demand <= 0.0)
         return;
     if (!flowsDirty_) {
@@ -119,16 +124,16 @@ MemSystem::resolve(sim::Time dt)
 #ifndef NDEBUG
         // Debug builds pay for a full recompute on every hit and
         // prove the cache would have returned exactly that.
-        const std::unordered_map<int, Grant> cached = grants_;
+        const auto cached = grants_;
         resolveFull(dt);
-        KELP_INVARIANT(grants_.size() == cached.size(),
+        KELP_INVARIANT(grants_.ids() == cached.ids(),
                        "resolve cache drifted: requestor set changed");
-        for (const auto &[req, g] : grants_) {
-            auto it = cached.find(req);
-            KELP_INVARIANT(it != cached.end() &&
-                               it->second.delivered == g.delivered &&
-                               it->second.fraction == g.fraction &&
-                               it->second.latency == g.latency,
+        for (int req : grants_.ids()) {
+            const Grant &g = grants_.find(req)->grant;
+            const Grant &c = cached.find(req)->grant;
+            KELP_INVARIANT(c.delivered == g.delivered &&
+                               c.fraction == g.fraction &&
+                               c.latency == g.latency,
                            "resolve cache drifted for requestor ", req);
         }
 #else
@@ -257,8 +262,6 @@ MemSystem::resolveFull(sim::Time dt)
     //    inter-socket link inflates every access's latency.
     double coh = upi_.coherenceInflation();
     grants_.clear();
-    struct Merge { double delivered = 0, demand = 0, lat_w = 0; };
-    std::unordered_map<int, Merge> merged;
     for (const auto &f : flows_) {
         double snc = sncFactor(f.route);
         bool remote = f.route.homeSocket != f.route.reqSocket;
@@ -282,17 +285,18 @@ MemSystem::resolveFull(sim::Time dt)
             lat = (g0.latency + g1.latency) / 2.0;
         }
         lat = lat * snc * coh;
-        auto &m = merged[f.requestor];
+        Merged &m = grants_[f.requestor];
         m.delivered += delivered;
         m.demand += f.demand;
-        m.lat_w += lat * std::max(delivered, 1e-12);
+        m.latW += lat * std::max(delivered, 1e-12);
     }
-    for (const auto &[req, m] : merged) {
-        Grant g;
+    for (int req : grants_.ids()) {
+        Merged &m = grants_[req];
+        Grant &g = m.grant;
         g.delivered = m.delivered;
         g.fraction = m.demand > 0.0 ?
             std::min(m.delivered / m.demand, 1.0) : 1.0;
-        g.latency = m.delivered > 0.0 ? m.lat_w / m.delivered :
+        g.latency = m.delivered > 0.0 ? m.latW / m.delivered :
             cfg_.socket.baseLatency;
         // Physicality: a grant can neither deliver negative bytes
         // nor complete in non-positive time, and the delivered
@@ -306,7 +310,6 @@ MemSystem::resolveFull(sim::Time dt)
         KELP_ENSURES(g.latency > 0.0,
                      "non-positive grant latency for requestor ",
                      req);
-        grants_[req] = g;
     }
 
     // 5. Socket-level counters for the HAL.
@@ -363,10 +366,8 @@ MemSystem::accumulateSocketCounters(sim::Time dt)
 Grant
 MemSystem::grant(int requestor) const
 {
-    auto it = grants_.find(requestor);
-    if (it == grants_.end())
-        return Grant{0.0, 1.0, cfg_.socket.baseLatency};
-    return it->second;
+    const Merged *m = grants_.find(requestor);
+    return m ? m->grant : Grant{0.0, 1.0, cfg_.socket.baseLatency};
 }
 
 double

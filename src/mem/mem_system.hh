@@ -23,11 +23,11 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "mem/backpressure.hh"
 #include "mem/controller.hh"
+#include "mem/requestor_table.hh"
 #include "mem/upi.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
@@ -132,8 +132,10 @@ class MemSystem
     /**
      * Submit one flow's bandwidth demand for this tick.
      *
-     * @param requestor Task identifier.
-     * @param route Requesting/home placement of the flow.
+     * @param requestor Task identifier (>= 0; grants are kept in a
+     *        table indexed by it).
+     * @param route Requesting/home placement of the flow; sockets
+     *        must exist and subdomains must be 0 or 1.
      * @param demand Requested bandwidth, GiB/s.
      * @param high_priority Request-priority class (used only under
      *        RequestPriority arbitration).
@@ -236,6 +238,16 @@ class MemSystem
         bool highPriority;
     };
 
+    /** One requestor's row of the last full resolve: its flows'
+     * merge accumulators and the grant assembled from them. */
+    struct Merged
+    {
+        sim::GiBps delivered = 0.0;
+        sim::GiBps demand = 0.0;
+        double latW = 0.0;
+        Grant grant;
+    };
+
     struct SocketState
     {
         std::array<std::unique_ptr<Controller>, 2> mc;
@@ -262,7 +274,7 @@ class MemSystem
     std::vector<SocketState> sockets_;
     UpiLink upi_;
     std::vector<Flow> flows_;
-    std::unordered_map<int, Grant> grants_;
+    RequestorTable<Merged> grants_;
 
     /** Resolve-cache state (see setResolveCacheEnabled). */
     std::vector<Flow> prevFlows_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
 
 #include "sim/log.hh"
 
@@ -104,37 +103,33 @@ Node::hungriestRunnable(sim::GroupId group)
 void
 Node::computeCoreShares()
 {
-    // A pool is a set of tasks sharing a set of cores: one pool per
-    // pinned group per socket, plus one floating pool per socket over
-    // the unpinned cores.
-    struct Pool
-    {
-        double cores = 0.0;
-        std::array<double, 2> coresPerSub = {0.0, 0.0};
-        int threads = 0;
-        std::vector<TaskState *> members;
-    };
-
+    // Pools are rebuilt for every socket of every tick; the member
+    // scratch only keeps their capacity (pinned pools by group id).
+    pinnedPools_.resize(static_cast<size_t>(groups_.size()));
     for (int s = 0; s < topo_.sockets(); ++s) {
-        std::unordered_map<int, Pool> pinned_pools;
-        Pool floating;
-
         int pinned_cores = 0;
         for (const auto &g : groups_.all()) {
-            if (!g->floating() && g->cores().inSocket(s) > 0) {
-                Pool &p = pinned_pools[g->id()];
+            Pool &p = pinnedPools_[static_cast<size_t>(g->id())];
+            p.pinned = !g->floating() && g->cores().inSocket(s) > 0;
+            p.threads = 0;
+            p.members.clear();
+            if (p.pinned) {
                 p.cores = g->cores().inSocket(s);
                 p.coresPerSub[0] = g->cores().inSubdomain(s, 0);
                 p.coresPerSub[1] = g->cores().inSubdomain(s, 1);
                 pinned_cores += g->cores().inSocket(s);
             }
         }
+        Pool &floating = floatingPool_;
+        floating.threads = 0;
+        floating.members.clear();
         floating.cores = std::max(
             topo_.coresPerSocket() - pinned_cores, 0);
         floating.coresPerSub[0] = floating.cores / 2.0;
         floating.coresPerSub[1] = floating.cores / 2.0;
 
-        for (auto &st : states_) {
+        for (size_t i = 0; i < states_.size(); ++i) {
+            TaskState &st = states_[i];
             if (st.task->homeSocket() != s)
                 continue;
             if (!st.task->runnable()) {
@@ -146,21 +141,19 @@ Node::computeCoreShares()
                 continue;
             }
             const auto &g = groups_.get(st.task->group());
-            Pool *pool = nullptr;
-            if (!g.floating() && pinned_pools.count(g.id()))
-                pool = &pinned_pools[g.id()];
-            else
-                pool = &floating;
-            pool->threads += st.task->threadsWanted();
-            pool->members.push_back(&st);
+            Pool &pinned = pinnedPools_[static_cast<size_t>(g.id())];
+            Pool &pool = pinned.pinned ? pinned : floating;
+            pool.threads += st.task->threadsWanted();
+            pool.members.push_back(i);
         }
 
-        auto apply = [this](Pool &pool) {
+        auto apply = [this](const Pool &pool) {
             if (pool.members.empty())
                 return;
             double smt = topo_.config().smtSiblingFactor;
-            for (auto *st : pool.members) {
-                int n = st->task->threadsWanted();
+            for (size_t i : pool.members) {
+                TaskState &st = states_[i];
+                int n = st.task->threadsWanted();
                 // Slots: how many of the task's threads can run at
                 // once (SMT doubles thread capacity). SMT factor: the
                 // per-running-thread throughput penalty from sibling
@@ -181,21 +174,22 @@ Node::computeCoreShares()
                         smt_factor = c_eff / running;
                     }
                 }
-                st->env.effCores = n * slots_frac;
-                st->env.smtFactor = smt_factor;
+                st.env.effCores = n * slots_frac;
+                st.env.smtFactor = smt_factor;
                 // Split a task's effective cores across subdomains in
                 // proportion to the pool's core placement.
                 for (int d = 0; d < 2; ++d) {
-                    st->coresPerSub[d] = pool.cores > 0.0 ?
-                        st->env.effCores *
+                    st.coresPerSub[d] = pool.cores > 0.0 ?
+                        st.env.effCores *
                             (pool.coresPerSub[d] / pool.cores) :
                         0.0;
                 }
             }
         };
 
-        for (auto &[id, pool] : pinned_pools)
-            apply(pool);
+        for (const Pool &pool : pinnedPools_)
+            if (pool.pinned)
+                apply(pool);
         apply(floating);
     }
 }
@@ -219,9 +213,10 @@ Node::computeLlc()
                                topo_.config().llcWays);
 
             // Gather requests from tasks with cores in this domain.
-            std::vector<cpu::LlcRequest> reqs;
-            std::vector<TaskState *> present;
-            for (auto &st : states_) {
+            llcReqs_.clear();
+            llcPresent_.clear();
+            for (size_t i = 0; i < states_.size(); ++i) {
+                const TaskState &st = states_[i];
                 if (st.task->homeSocket() != s)
                     continue;
                 double cores = snc ? st.coresPerSub[d] :
@@ -237,37 +232,38 @@ Node::computeLlc()
                 r.dedicatedWays =
                     std::min(g.catWays(), llc.ways() - 1);
                 r.hitMax = prof.llcHitMax;
-                reqs.push_back(r);
-                present.push_back(&st);
+                llcReqs_.push_back(r);
+                llcPresent_.push_back(i);
             }
-            if (reqs.empty())
+            if (llcReqs_.empty())
                 continue;
 
             const auto &shares =
-                llcCaches_[static_cast<size_t>(s * 2 + d)].get(llc,
-                                                               reqs);
-            for (auto *st : present) {
-                wl::HostPhaseParams prof = st->task->llcProfile();
+                llcCaches_[static_cast<size_t>(s * 2 + d)].get(
+                    llc, llcReqs_);
+            for (size_t i : llcPresent_) {
+                TaskState &st = states_[i];
+                wl::HostPhaseParams prof = st.task->llcProfile();
                 // Standalone reference: the full socket LLC, alone,
                 // SNC off (the paper's normalization baseline).
                 double hit_alone = cpu::Llc::hitRate(
                     topo_.config().llcMbPerSocket,
                     prof.llcFootprintMb, prof.llcHitMax);
-                double hit_now = shares.at(st->task->id()).hitRate;
+                double hit_now = shares.at(st.task->id()).hitRate;
                 double miss_alone = std::max(1.0 - hit_alone, 0.01);
                 double miss_now = std::max(1.0 - hit_now, 0.0);
                 double ratio = miss_now / miss_alone;
                 // Weight by the task's core split across domains so
                 // spanning tasks blend their two domains' ratios.
-                double c0 = st->coresPerSub[0];
-                double c1 = st->coresPerSub[1];
+                double c0 = st.coresPerSub[0];
+                double c1 = st.coresPerSub[1];
                 double total = c0 + c1;
                 double w = 1.0;
                 if (snc && total > 0.0)
                     w = (d == 0 ? c0 : c1) / total;
                 double contrib = ratio * w;
-                st->env.missRatio = st->env.missRatio < 0.0 ?
-                    contrib : st->env.missRatio + contrib;
+                st.env.missRatio = st.env.missRatio < 0.0 ?
+                    contrib : st.env.missRatio + contrib;
             }
         }
     }

@@ -173,6 +173,20 @@ class Node
         double lastDemand = 0.0;
     };
 
+    /**
+     * A set of tasks sharing a set of cores: one pool per pinned
+     * group per socket, plus one floating pool per socket over the
+     * unpinned cores. Members are indices into states_.
+     */
+    struct Pool
+    {
+        bool pinned = false;
+        double cores = 0.0;
+        std::array<double, 2> coresPerSub = {0.0, 0.0};
+        int threads = 0;
+        std::vector<size_t> members;
+    };
+
     /** Phase 1: pools, effective cores, SMT. */
     void computeCoreShares();
 
@@ -219,6 +233,15 @@ class Node
     /** Per-(socket, domain) apportionment memos (2 sockets x 2
      * domains; the non-SNC case uses domain 0 only). */
     std::array<cpu::ApportionCache, 4> llcCaches_;
+
+    /** Per-tick scratch, rebuilt from scratch every tick and kept
+     * only so its capacity is reused: pinned pools indexed by group
+     * id, the floating pool, and one LLC domain's requests with the
+     * states_ indices of their tasks. */
+    std::vector<Pool> pinnedPools_;
+    Pool floatingPool_;
+    std::vector<cpu::LlcRequest> llcReqs_;
+    std::vector<size_t> llcPresent_;
 };
 
 } // namespace node

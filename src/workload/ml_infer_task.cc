@@ -53,7 +53,7 @@ MlInferTask::fastPrepare(const ExecEnv &env, sim::Time dt)
     // Only the fully-idle server has a fast kernel: a closed loop
     // re-arms itself instantly and never idles, and any queued or
     // in-flight request makes intra-tick event processing necessary.
-    return !cfg_.closedLoop && queue_.empty() && inFlight_.empty();
+    return !cfg_.closedLoop && queued() == 0 && inFlight_.empty();
 }
 
 bool
@@ -154,13 +154,19 @@ void
 MlInferTask::admitFromQueue()
 {
     while (static_cast<int>(inFlight_.size()) < cfg_.pipelineDepth &&
-           !queue_.empty()) {
+           queueHead_ < queue_.size()) {
         Request r;
-        r.arrival = queue_.front();
-        queue_.pop_front();
+        r.arrival = queue_[queueHead_++];
         r.remaining = segmentOf(r).duration;
         r.segmentStart = now_;
         inFlight_.push_back(r);
+    }
+    // Drop the consumed prefix in place once it is at least half the
+    // buffer, so the capacity is kept and the backlog stays bounded.
+    if (queueHead_ * 2 >= queue_.size()) {
+        queue_.erase(queue_.begin(),
+                     queue_.begin() + static_cast<long>(queueHead_));
+        queueHead_ = 0;
     }
 }
 
@@ -212,7 +218,7 @@ MlInferTask::advance(sim::Time dt, const ExecEnv &env)
         } else {
             // Closed loop: keep exactly pipelineDepth requests in
             // flight; a fresh one arrives the moment a slot frees.
-            while (static_cast<int>(inFlight_.size() + queue_.size()) <
+            while (static_cast<int>(inFlight_.size() + queued()) <
                    cfg_.pipelineDepth) {
                 queue_.push_back(now_);
             }
@@ -226,7 +232,8 @@ MlInferTask::advance(sim::Time dt, const ExecEnv &env)
                 ++host_active;
 
         bool accel_taken = false, pcie_taken = false;
-        std::vector<double> speed(inFlight_.size(), 0.0);
+        std::vector<double> &speed = speed_;
+        speed.assign(inFlight_.size(), 0.0);
         for (size_t i = 0; i < inFlight_.size(); ++i) {
             const auto &seg = segmentOf(inFlight_[i]);
             switch (seg.kind) {

@@ -7,6 +7,8 @@
  * an uncached one, while actually hitting.
  */
 
+#include <algorithm>
+#include <array>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -49,8 +51,19 @@ struct TickFlow
     bool highPriority;
 };
 
+/** Sparse requestor ids the flow history draws from. */
+constexpr std::array<int, 5> kRequestors = {0, 3, 7, 40, 199};
+
+/** Ids probed for the default grant each tick: the drawn ones plus
+ * never-drawn ids inside and beyond the largest drawn one. */
+constexpr std::array<int, 8> kProbeIds = {0, 1, 3, 7, 40, 199, 200,
+                                          1000};
+
 /** A randomized flow history with long stable stretches (the case
- * the cache exists for) and occasional demand/route churn. */
+ * the cache exists for) and occasional demand/route churn. Each
+ * redraw picks a random subset of the sparse ids, each submitting one
+ * to three flows, so requestors merge several flows and vanish
+ * between ticks. */
 std::vector<std::vector<TickFlow>>
 flowHistory(int ticks, uint64_t seed)
 {
@@ -60,26 +73,60 @@ flowHistory(int ticks, uint64_t seed)
     for (int t = 0; t < ticks; ++t) {
         if (current.empty() || rng.uniform() < 0.3) {
             current.clear();
-            int n = 1 + static_cast<int>(rng.below(4));
-            for (int f = 0; f < n; ++f) {
-                TickFlow flow;
-                flow.requestor = f + 1;
-                flow.route.reqSocket =
-                    static_cast<sim::SocketId>(rng.below(2));
-                flow.route.reqSub =
-                    static_cast<sim::SubdomainId>(rng.below(2));
-                flow.route.homeSocket =
-                    static_cast<sim::SocketId>(rng.below(2));
-                flow.route.homeSub =
-                    static_cast<sim::SubdomainId>(rng.below(2));
-                flow.demand = rng.uniform(1.0, 80.0);
-                flow.highPriority = rng.chance(0.3);
-                current.push_back(flow);
+            for (int id : kRequestors) {
+                if (!rng.chance(0.5))
+                    continue;
+                int n = 1 + static_cast<int>(rng.below(3));
+                for (int f = 0; f < n; ++f) {
+                    TickFlow flow;
+                    flow.requestor = id;
+                    flow.route.reqSocket =
+                        static_cast<sim::SocketId>(rng.below(2));
+                    flow.route.reqSub =
+                        static_cast<sim::SubdomainId>(rng.below(2));
+                    flow.route.homeSocket =
+                        static_cast<sim::SocketId>(rng.below(2));
+                    flow.route.homeSub =
+                        static_cast<sim::SubdomainId>(rng.below(2));
+                    flow.demand = rng.uniform(1.0, 80.0);
+                    flow.highPriority = rng.chance(0.3);
+                    current.push_back(flow);
+                }
             }
         }
         history.push_back(current);
     }
     return history;
+}
+
+/** EXPECT that a requestor without a flow this tick reads the
+ * default grant from the memory system and from every controller. */
+void
+expectDefaultGrant(const MemSystem &mem, int requestor)
+{
+    const Grant g = mem.grant(requestor);
+    EXPECT_EQ(g.delivered, 0.0) << "requestor " << requestor;
+    EXPECT_EQ(g.fraction, 1.0) << "requestor " << requestor;
+    EXPECT_EQ(g.latency, mem.baseLatency()) << "requestor " << requestor;
+    for (sim::SocketId s = 0; s < mem.numSockets(); ++s) {
+        for (sim::SubdomainId d = 0; d < 2; ++d) {
+            const Controller &mc = mem.controller(s, d);
+            const Grant c = mc.grant(requestor);
+            EXPECT_EQ(c.delivered, 0.0) << "requestor " << requestor;
+            EXPECT_EQ(c.fraction, 1.0) << "requestor " << requestor;
+            EXPECT_EQ(c.latency, mc.latency())
+                << "requestor " << requestor;
+        }
+    }
+}
+
+bool
+hasFlow(const std::vector<TickFlow> &flows, int requestor)
+{
+    return std::any_of(flows.begin(), flows.end(),
+                       [requestor](const TickFlow &f) {
+                           return f.requestor == requestor;
+                       });
 }
 
 void
@@ -129,6 +176,12 @@ TEST(ResolveCache, CachedMatchesUncachedOverRandomChurn)
         }
         EXPECT_EQ(cached.upi().utilization(),
                   plain.upi().utilization());
+        for (int id : kProbeIds) {
+            if (!hasFlow(flows, id)) {
+                expectDefaultGrant(cached, id);
+                expectDefaultGrant(plain, id);
+            }
+        }
     }
 
     // The history has stable stretches, so the cache must have both

@@ -168,6 +168,13 @@ TEST(Controller, NegativeDemandPanics)
     EXPECT_DEATH(mc.addDemand(1, -1.0, false, 0.0), "negative");
 }
 
+TEST(Controller, NegativeRequestorPanics)
+{
+    Controller mc = makeController();
+    mc.beginTick();
+    EXPECT_DEATH(mc.addDemand(-1, 10.0, false, 0.0), "requestor");
+}
+
 TEST(Controller, BeginTickClearsState)
 {
     Controller mc = makeController();

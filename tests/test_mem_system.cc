@@ -244,6 +244,25 @@ TEST(MemSystem, InvalidRoutePanics)
     EXPECT_DEATH(mem.addFlow(1, {0, 0, 5, 0}, 1.0), "socket");
 }
 
+TEST(MemSystem, InvalidSubdomainPanics)
+{
+    // Subdomains index a socket's two controllers; with SNC on an
+    // unchecked homeSub would route demand past the controller pair.
+    MemSystem mem(testConfig());
+    mem.setSncEnabled(true);
+    mem.beginTick();
+    EXPECT_DEATH(mem.addFlow(1, {0, 0, 0, 2}, 10.0), "subdomain");
+    EXPECT_DEATH(mem.addFlow(1, {0, 0, 0, -1}, 10.0), "subdomain");
+    EXPECT_DEATH(mem.addFlow(1, {0, 2, 0, 0}, 10.0), "subdomain");
+}
+
+TEST(MemSystem, NegativeRequestorPanics)
+{
+    MemSystem mem(testConfig());
+    mem.beginTick();
+    EXPECT_DEATH(mem.addFlow(-1, {0, 0, 0, 0}, 10.0), "requestor");
+}
+
 TEST(MemSystem, TooManySocketsPanics)
 {
     MemSystemConfig cfg = testConfig();
