@@ -154,9 +154,13 @@ struct RunConfig
     serve::ServeConfig serving;
 
     /**
-     * Event-driven tick engine (default on). When off, every tick
-     * runs the full pipeline. Results are bit-identical either way;
-     * the flag exists for A/B perf measurement and identity tests.
+     * Event-driven tick engine (default on): quiescent stretches are
+     * fast-forwarded, and full ticks reuse core shares and LLC miss
+     * ratios until a change hook fires. When off, every tick runs
+     * the full pipeline and recomputes everything, which makes it
+     * the independent reference. Results are bit-identical either
+     * way; the flag exists for A/B perf measurement and identity
+     * tests.
      */
     bool eventDriven = true;
 };

@@ -18,22 +18,14 @@ BackpressureUnit::BackpressureUnit(double distress_threshold,
 }
 
 void
-BackpressureUnit::update(double max_mc_utilization, sim::Time dt)
+BackpressureUnit::update(double max_mc_utilization, sim::Time dt,
+                         uint64_t n)
 {
     // The distress duty cycle rises linearly from the threshold to
     // full saturation; this matches the smooth saturation curves the
-    // paper plots from FAST_ASSERTED (Figure 7).
-    double over = (max_mc_utilization - threshold_) / (1.0 - threshold_);
-    asserted_ = std::clamp(over, 0.0, 1.0);
-    fastAsserted_.accumulate(asserted_, dt);
-}
-
-void
-BackpressureUnit::fastForward(double max_mc_utilization, uint64_t n,
-                              sim::Time dt)
-{
-    // Same formula as update(); asserted_ is idempotent under a
-    // repeated input, so only the integral needs the n-fold repeat.
+    // paper plots from FAST_ASSERTED (Figure 7). asserted_ is
+    // idempotent under a repeated input, so only the integral needs
+    // the n-fold repeat.
     double over = (max_mc_utilization - threshold_) / (1.0 - threshold_);
     asserted_ = std::clamp(over, 0.0, 1.0);
     fastAsserted_.accumulateRepeat(asserted_, dt, n);

@@ -38,19 +38,17 @@ class BackpressureUnit
                               double throttle_strength = 0.45);
 
     /**
-     * Update with this tick's worst controller utilization on the
-     * socket.
+     * Update with the worst controller utilization on the socket,
+     * held for n ticks.
      *
      * @param max_mc_utilization Highest utilization across the
      *        socket's controllers.
      * @param dt Tick length.
+     * @param n Number of identical ticks (MemSystem fast-forward);
+     *        bit-identical to n single-tick updates.
      */
-    void update(double max_mc_utilization, sim::Time dt);
-
-    /** Apply n identical update(max_mc_utilization, dt) rounds
-     * (MemSystem fast-forward); bit-identical to the loop. */
-    void fastForward(double max_mc_utilization, uint64_t n,
-                     sim::Time dt);
+    void update(double max_mc_utilization, sim::Time dt,
+                uint64_t n = 1);
 
     /**
      * Fraction of the last tick during which distress was asserted,

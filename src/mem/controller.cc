@@ -50,7 +50,7 @@ Controller::addDemand(int requestor, sim::GiBps demand,
 }
 
 void
-Controller::resolve(sim::Time dt)
+Controller::resolve()
 {
     bool hit = cacheValid_ && !demandsDirty_ &&
                demands_.size() == prevDemands_.size();
@@ -86,10 +86,6 @@ Controller::resolve(sim::Time dt)
         arbitrate();
         cacheValid_ = true;
     }
-
-    bwAccum_.accumulate(delivered_, dt);
-    utilAccum_.accumulate(utilization_, dt);
-    latAccum_.accumulate(latency_ * std::max(delivered_, 1e-9), dt);
 }
 
 void
@@ -161,26 +157,6 @@ Controller::arbitrate()
             delivered_ += given;
         }
     }
-}
-
-void
-Controller::accumulateCached(sim::Time dt)
-{
-    // Must mirror the accumulate tail of resolve() exactly.
-    bwAccum_.accumulate(delivered_, dt);
-    utilAccum_.accumulate(utilization_, dt);
-    latAccum_.accumulate(latency_ * std::max(delivered_, 1e-9), dt);
-}
-
-void
-Controller::fastForward(uint64_t n, sim::Time dt)
-{
-    // Per-accumulator op chains are independent, so repeating each
-    // one n times matches n per-tick rounds bit for bit.
-    bwAccum_.accumulateRepeat(delivered_, dt, n);
-    utilAccum_.accumulateRepeat(utilization_, dt, n);
-    latAccum_.accumulateRepeat(latency_ * std::max(delivered_, 1e-9),
-                               dt, n);
 }
 
 Grant

@@ -24,7 +24,6 @@
 
 #include "mem/latency_curve.hh"
 #include "mem/requestor_table.hh"
-#include "sim/stats.hh"
 #include "sim/types.hh"
 
 namespace kelp {
@@ -93,37 +92,21 @@ class Controller
                    sim::Nanoseconds latency_extra);
 
     /**
-     * Resolve all registered demands for a tick of length dt.
+     * Resolve all registered demands into grants, utilization, and
+     * latency.
      *
      * Incremental: when this tick's addDemand() sequence matched the
      * previous tick's exactly (same requestors, demands, priorities,
      * and latency extras, in the same order), arbitration is skipped
-     * and only the time-integrated counters advance -- the grants,
-     * utilization, and latency are unchanged by construction.
-     * Arbitration is dt-independent, so the hit test does not look
-     * at dt. Debug builds re-run arbitration on every hit and check
-     * the cached outputs bitwise.
+     * and the previous outputs stand -- the grants, utilization, and
+     * latency are unchanged by construction. Debug builds re-run
+     * arbitration on every hit and check the cached outputs bitwise.
      */
-    void resolve(sim::Time dt);
-
-    /**
-     * Advance the counters by n ticks of length dt with the demand
-     * set known frozen (MemSystem fast-forward). Bit-identical to n
-     * cache-hit resolves.
-     */
-    void fastForward(uint64_t n, sim::Time dt);
+    void resolve();
 
     /** Arbitration-skip counters for the perf breakdown. */
     uint64_t cacheHits() const { return cacheHits_; }
     uint64_t cacheMisses() const { return cacheMisses_; }
-
-    /**
-     * Advance the time-integrated counters by one tick whose demand
-     * set is known to be identical to the last resolve()'s, without
-     * re-running arbitration. Caller (MemSystem's resolve cache)
-     * guarantees demands were neither cleared nor re-registered since.
-     */
-    void accumulateCached(sim::Time dt);
 
     /** Utilization in [0, 1] from the last resolve(). */
     double utilization() const { return utilization_; }
@@ -136,21 +119,6 @@ class Controller
 
     /** Total delivered bandwidth from the last resolve(). */
     sim::GiBps totalDelivered() const { return delivered_; }
-
-    /** Time-integrated delivered bandwidth (for counters). */
-    const sim::IntervalAccumulator &bwAccum() const { return bwAccum_; }
-
-    /** Time-integrated utilization. */
-    const sim::IntervalAccumulator &utilAccum() const
-    {
-        return utilAccum_;
-    }
-
-    /** Delivered-bandwidth-weighted latency integral. */
-    const sim::IntervalAccumulator &latAccum() const
-    {
-        return latAccum_;
-    }
 
   private:
     struct Demand
@@ -182,10 +150,6 @@ class Controller
     double utilization_ = 0.0;
     sim::Nanoseconds latency_;
     sim::GiBps delivered_ = 0.0;
-
-    sim::IntervalAccumulator bwAccum_;
-    sim::IntervalAccumulator utilAccum_;
-    sim::IntervalAccumulator latAccum_;
 };
 
 } // namespace mem

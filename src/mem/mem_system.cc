@@ -158,42 +158,8 @@ MemSystem::fastForward(uint64_t n, sim::Time dt)
     // frozen, so only the time integrals advance. Each accumulator's
     // op chain is independent, so per-accumulator n-fold repeats
     // reproduce the per-tick interleaving bit for bit.
-    upi_.fastForward(n, dt);
-    for (auto &s : sockets_)
-        for (auto &mc : s.mc)
-            mc->fastForward(n, dt);
-    for (auto &s : sockets_) {
-        double max_util = std::max({s.mc[0]->utilization(),
-                                    s.mc[1]->utilization(),
-                                    upi_.congestionUtilization()});
-        s.backpressure->fastForward(max_util, n, dt);
-    }
-    double coh = upi_.coherenceInflation();
-    for (auto &s : sockets_) {
-        double bw0 = s.mc[0]->totalDelivered();
-        double bw1 = s.mc[1]->totalDelivered();
-        KELP_INVARIANT(bw0 >= 0.0 && bw1 >= 0.0,
-                       "memory controller delivered negative "
-                       "bandwidth");
-        KELP_INVARIANT(s.mc[0]->latency() >= 0.0 &&
-                           s.mc[1]->latency() >= 0.0,
-                       "memory controller reported negative latency");
-        s.counters.bw.accumulateRepeat(bw0 + bw1, dt, n);
-        s.counters.subdomainBw[0].accumulateRepeat(bw0, dt, n);
-        s.counters.subdomainBw[1].accumulateRepeat(bw1, dt, n);
-        s.counters.subdomainLat[0].accumulateRepeat(
-            s.mc[0]->latency() * coh, dt, n);
-        s.counters.subdomainLat[1].accumulateRepeat(
-            s.mc[1]->latency() * coh, dt, n);
-        double lat;
-        if (bw0 + bw1 > 0.0) {
-            lat = (s.mc[0]->latency() * bw0 + s.mc[1]->latency() * bw1) /
-                  (bw0 + bw1);
-        } else {
-            lat = cfg_.socket.baseLatency;
-        }
-        s.counters.latency.accumulateRepeat(lat * coh, dt, n);
-    }
+    updateBackpressure(dt, n);
+    accumulateSocketCounters(dt, n);
     fastTicks_ += n;
 }
 
@@ -202,14 +168,10 @@ MemSystem::resolveCached(sim::Time dt)
 {
     // Demand registered with the controllers and the link is exactly
     // last tick's; grants_ and all instantaneous state are already
-    // correct. Only time integrals and the (stateful) backpressure
-    // duty cycle advance.
-    upi_.accumulateCached(dt);
-    for (auto &s : sockets_)
-        for (auto &mc : s.mc)
-            mc->accumulateCached(dt);
-    updateBackpressure(dt);
-    accumulateSocketCounters(dt);
+    // correct. Only the socket integrals and the (stateful)
+    // backpressure duty cycle advance.
+    updateBackpressure(dt, 1);
+    accumulateSocketCounters(dt, 1);
 }
 
 void
@@ -228,7 +190,7 @@ MemSystem::resolveFull(sim::Time dt)
         if (f.route.homeSocket != f.route.reqSocket)
             upi_.addDemand(f.demand);
     }
-    upi_.resolve(dt);
+    upi_.resolve();
 
     // 2. Route flows to controllers. Remote flows hold the home
     //    controller longer than their data volume implies.
@@ -253,10 +215,10 @@ MemSystem::resolveFull(sim::Time dt)
     }
     for (auto &s : sockets_)
         for (auto &mc : s.mc)
-            mc->resolve(dt);
+            mc->resolve();
 
     // 3. Distress signals.
-    updateBackpressure(dt);
+    updateBackpressure(dt, 1);
 
     // 4. Assemble per-requestor grants. The coherence tax from the
     //    inter-socket link inflates every access's latency.
@@ -313,11 +275,11 @@ MemSystem::resolveFull(sim::Time dt)
     }
 
     // 5. Socket-level counters for the HAL.
-    accumulateSocketCounters(dt);
+    accumulateSocketCounters(dt, 1);
 }
 
 void
-MemSystem::updateBackpressure(sim::Time dt)
+MemSystem::updateBackpressure(sim::Time dt, uint64_t n)
 {
     // Socket-wide shared distress. The inter-socket link
     // participates: the throttling mechanism exists precisely "to
@@ -328,12 +290,12 @@ MemSystem::updateBackpressure(sim::Time dt)
         double max_util = std::max({s.mc[0]->utilization(),
                                     s.mc[1]->utilization(),
                                     upi_.congestionUtilization()});
-        s.backpressure->update(max_util, dt);
+        s.backpressure->update(max_util, dt, n);
     }
 }
 
 void
-MemSystem::accumulateSocketCounters(sim::Time dt)
+MemSystem::accumulateSocketCounters(sim::Time dt, uint64_t n)
 {
     double coh = upi_.coherenceInflation();
     for (auto &s : sockets_) {
@@ -345,13 +307,13 @@ MemSystem::accumulateSocketCounters(sim::Time dt)
         KELP_INVARIANT(s.mc[0]->latency() >= 0.0 &&
                            s.mc[1]->latency() >= 0.0,
                        "memory controller reported negative latency");
-        s.counters.bw.accumulate(bw0 + bw1, dt);
-        s.counters.subdomainBw[0].accumulate(bw0, dt);
-        s.counters.subdomainBw[1].accumulate(bw1, dt);
-        s.counters.subdomainLat[0].accumulate(
-            s.mc[0]->latency() * coh, dt);
-        s.counters.subdomainLat[1].accumulate(
-            s.mc[1]->latency() * coh, dt);
+        s.counters.bw.accumulateRepeat(bw0 + bw1, dt, n);
+        s.counters.subdomainBw[0].accumulateRepeat(bw0, dt, n);
+        s.counters.subdomainBw[1].accumulateRepeat(bw1, dt, n);
+        s.counters.subdomainLat[0].accumulateRepeat(
+            s.mc[0]->latency() * coh, dt, n);
+        s.counters.subdomainLat[1].accumulateRepeat(
+            s.mc[1]->latency() * coh, dt, n);
         double lat;
         if (bw0 + bw1 > 0.0) {
             lat = (s.mc[0]->latency() * bw0 + s.mc[1]->latency() * bw1) /
@@ -359,7 +321,7 @@ MemSystem::accumulateSocketCounters(sim::Time dt)
         } else {
             lat = cfg_.socket.baseLatency;
         }
-        s.counters.latency.accumulate(lat * coh, dt);
+        s.counters.latency.accumulateRepeat(lat * coh, dt, n);
     }
 }
 

@@ -265,9 +265,11 @@ class MemSystem
     /** Counter-only advance for a tick identical to the last one. */
     void resolveCached(sim::Time dt);
 
-    /** Steps shared by both paths: backpressure + socket counters. */
-    void updateBackpressure(sim::Time dt);
-    void accumulateSocketCounters(sim::Time dt);
+    /** Steps shared by the full, cached, and fast-forward paths:
+     * backpressure and socket counters, each for n identical ticks
+     * of length dt. */
+    void updateBackpressure(sim::Time dt, uint64_t n);
+    void accumulateSocketCounters(sim::Time dt, uint64_t n);
 
     MemSystemConfig cfg_;
     bool sncEnabled_ = false;

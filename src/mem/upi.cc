@@ -37,24 +37,11 @@ UpiLink::congestionUtilization() const
 }
 
 void
-UpiLink::resolve(sim::Time dt)
+UpiLink::resolve()
 {
     utilization_ = std::min(demand_ / capacity_, 1.0);
     grantFraction_ =
         demand_ <= capacity_ ? 1.0 : capacity_ / demand_;
-    bwAccum_.accumulate(std::min(demand_, capacity_), dt);
-}
-
-void
-UpiLink::accumulateCached(sim::Time dt)
-{
-    bwAccum_.accumulate(std::min(demand_, capacity_), dt);
-}
-
-void
-UpiLink::fastForward(uint64_t n, sim::Time dt)
-{
-    bwAccum_.accumulateRepeat(std::min(demand_, capacity_), dt, n);
 }
 
 sim::Nanoseconds

@@ -14,7 +14,6 @@
 #ifndef KELP_MEM_UPI_HH
 #define KELP_MEM_UPI_HH
 
-#include "sim/stats.hh"
 #include "sim/types.hh"
 
 namespace kelp {
@@ -42,19 +41,8 @@ class UpiLink
     /** Register a remote flow's demand for this tick. */
     void addDemand(sim::GiBps demand);
 
-    /** Finalize this tick's utilization. */
-    void resolve(sim::Time dt);
-
-    /**
-     * Advance the bandwidth integral for one tick whose link demand
-     * is known to equal the last resolve()'s (MemSystem resolve
-     * cache); utilization and grant fraction are already correct.
-     */
-    void accumulateCached(sim::Time dt);
-
-    /** Advance the bandwidth integral by n frozen-demand ticks
-     * (MemSystem fast-forward); bit-identical to n cached ticks. */
-    void fastForward(uint64_t n, sim::Time dt);
+    /** Finalize this tick's utilization and grant fraction. */
+    void resolve();
 
     /** Utilization in [0, 1] from the last resolve(). */
     double utilization() const { return utilization_; }
@@ -81,9 +69,6 @@ class UpiLink
 
     sim::GiBps capacity() const { return capacity_; }
 
-    /** Time-integrated delivered link bandwidth. */
-    const sim::IntervalAccumulator &bwAccum() const { return bwAccum_; }
-
   private:
     sim::GiBps capacity_;
     sim::Nanoseconds hopLatency_;
@@ -92,7 +77,6 @@ class UpiLink
     sim::GiBps demand_ = 0.0;
     double utilization_ = 0.0;
     double grantFraction_ = 1.0;
-    sim::IntervalAccumulator bwAccum_;
 };
 
 } // namespace mem

@@ -103,8 +103,9 @@ Node::hungriestRunnable(sim::GroupId group)
 void
 Node::computeCoreShares()
 {
-    // Pools are rebuilt for every socket of every tick; the member
-    // scratch only keeps their capacity (pinned pools by group id).
+    // Pools are rebuilt for every socket on every recompute; the
+    // member scratch only keeps their capacity (pinned pools by
+    // group id).
     pinnedPools_.resize(static_cast<size_t>(groups_.size()));
     for (int s = 0; s < topo_.sockets(); ++s) {
         int pinned_cores = 0;
@@ -197,9 +198,9 @@ Node::computeCoreShares()
 void
 Node::computeLlc()
 {
-    // Miss ratios are rebuilt from scratch every tick: a task
-    // accumulates one weighted contribution per LLC domain it has
-    // cores in (-1 marks "no contribution yet").
+    // Miss ratios are rebuilt from scratch on every recompute: a
+    // task accumulates one weighted contribution per LLC domain it
+    // has cores in (-1 marks "no contribution yet").
     for (auto &st : states_)
         st.env.missRatio = -1.0;
 
@@ -360,8 +361,19 @@ void
 Node::tick(sim::Time now, sim::Time dt)
 {
     (void)now;
-    computeCoreShares();
-    computeLlc();
+    // Core shares and LLC miss ratios are pure in state that only
+    // changes through a change hook, so an event-driven node reuses
+    // them until one fires. The reference path recomputes every tick
+    // so that it stays independent of the hooks.
+    if (sharesDirty_ || !eventDriven_) {
+        computeCoreShares();
+        computeLlc();
+        sharesDirty_ = false;
+    } else {
+#ifndef NDEBUG
+        verifyShares();
+#endif
+    }
     resolveAndAdvance(dt);
 
     // Quiescence tracking: a tick is quiet when nothing marked the
@@ -480,35 +492,45 @@ Node::fastForward(sim::Time now, sim::Time dt, uint64_t max_ticks)
 }
 
 void
+Node::verifyShares()
+{
+    // Recompute core shares and LLC miss ratios and prove the values
+    // held in states_ are bitwise fixed points. The recomputation is
+    // idempotent: with no input changed it writes back exactly the
+    // values already present.
+    const std::vector<TaskState> cached = states_;
+
+    computeCoreShares();
+    computeLlc();
+
+    for (size_t i = 0; i < states_.size(); ++i) {
+        const TaskState &st = states_[i];
+        const TaskState &c = cached[i];
+        KELP_INVARIANT(st.env.effCores == c.env.effCores &&
+                           st.env.smtFactor == c.env.smtFactor &&
+                           st.env.missRatio == c.env.missRatio &&
+                           st.coresPerSub == c.coresPerSub,
+                       "reused core/LLC shares drifted for task '",
+                       st.task->name(), "'");
+    }
+}
+
+void
 Node::verifyQuiescent(sim::Time dt)
 {
     (void)dt;
     // Recompute the whole pre-resolve pipeline and prove the cached
-    // environments are bitwise fixed points. The recomputation is
-    // idempotent: with no state changes it writes back exactly the
-    // values already present.
-    std::vector<wl::ExecEnv> cached;
-    cached.reserve(states_.size());
-    for (const auto &st : states_)
-        cached.push_back(st.env);
-
-    computeCoreShares();
-    computeLlc();
+    // environments are bitwise fixed points: core shares and LLC
+    // miss ratios first, then knobs, throttles, and demands.
+    verifyShares();
 
     std::array<double, 2> throttle = {1.0, 1.0};
     for (int s = 0; s < mem_.numSockets(); ++s)
         throttle[s] = mem_.coreThrottle(s);
 
-    for (size_t i = 0; i < states_.size(); ++i) {
-        auto &st = states_[i];
+    for (auto &st : states_) {
         if (!st.task->runnable())
             continue;
-        const wl::ExecEnv &c = cached[i];
-        KELP_INVARIANT(st.env.effCores == c.effCores &&
-                           st.env.smtFactor == c.smtFactor &&
-                           st.env.missRatio == c.missRatio,
-                       "fast-forward core/LLC state drifted for "
-                       "task '", st.task->name(), "'");
         const auto &g = groups_.get(st.task->group());
         double pf = g.floating() ? 1.0 : g.prefetcherFraction();
         double th = throttle[st.task->homeSocket()];
@@ -516,7 +538,7 @@ Node::verifyQuiescent(sim::Time dt)
             g.priority() == hal::Priority::High) {
             th = 1.0;
         }
-        KELP_INVARIANT(c.pfFraction == pf && c.throttle == th,
+        KELP_INVARIANT(st.env.pfFraction == pf && st.env.throttle == th,
                        "fast-forward knob/throttle state drifted "
                        "for task '", st.task->name(), "'");
         KELP_INVARIANT(std::max(st.task->bwDemand(st.env), 0.0) ==

@@ -3,7 +3,7 @@
  * Node: a complete accelerated server, and the per-tick orchestration
  * that couples tasks to the hardware models.
  *
- * Every tick the node:
+ * A full tick of the node:
  *  1. Builds core pools per socket (pinned groups own their masked
  *     cores; floating groups share the rest) and computes each task's
  *     effective cores, folding in fair sharing and SMT capacity.
@@ -16,6 +16,11 @@
  *     subdomains where the task holds cores.
  *  4. Resolves the memory system and advances every task with its
  *     post-resolve environment.
+ *
+ * Steps 1 and 2 depend only on state whose every mutation fires a
+ * change hook (markDirty()), so with the event-driven path on they
+ * run only on the first tick after a hook fired; the other ticks
+ * reuse their results. With it off, every tick runs all four steps.
  */
 
 #ifndef KELP_NODE_NODE_HH
@@ -125,7 +130,9 @@ class Node
 
     /**
      * Enable/disable the event-driven fast path (default on).
-     * Disabling forces every tick through the full pipeline; the
+     * Disabling forces every tick through the full pipeline,
+     * including the core-share and LLC recompute that an
+     * event-driven node skips until a change hook fires; the
      * results are bit-identical either way -- the fast path only
      * engages where it can prove ticks are repeats.
      */
@@ -144,11 +151,13 @@ class Node
     uint64_t fastForward(sim::Time now, sim::Time dt,
                          uint64_t max_ticks);
 
-    /** Invalidate quiescence (knob writes, lifecycle changes, task
-     * arrivals, config flips all funnel here via change hooks). */
+    /** Invalidate quiescence and the reused core shares (knob
+     * writes, lifecycle changes, task arrivals, config flips all
+     * funnel here via change hooks). */
     void markDirty()
     {
         dirty_ = true;
+        sharesDirty_ = true;
         fastReady_ = false;
         quietStreak_ = 0;
     }
@@ -201,6 +210,10 @@ class Node
      * and their demands still match what the resolve cache saw. */
     bool tryPrepareFast(sim::Time dt);
 
+    /** Debug cross-check: recompute core shares and LLC miss ratios
+     * and KELP_INVARIANT them bitwise against the reused ones. */
+    void verifyShares();
+
     /** Debug cross-check: recompute the full pre-resolve pipeline
      * and KELP_INVARIANT it against the cached environments. */
     void verifyQuiescent(sim::Time dt);
@@ -219,11 +232,15 @@ class Node
     bool priorityAwareBackpressure_ = false;
 
     /** Event-driven engine state. dirty_ is raised by any change
-     * hook; quietStreak_ counts consecutive full ticks that were
-     * resolve-cache hits with no dirt; fastReady_ marks the task
-     * kernels as prepared for the current environment. */
+     * hook; sharesDirty_ likewise, but is cleared only when tick()
+     * recomputes the core shares and LLC miss ratios, so a hook that
+     * fires mid-tick still reaches the next tick; quietStreak_
+     * counts consecutive full ticks that were resolve-cache hits
+     * with no dirt; fastReady_ marks the task kernels as prepared
+     * for the current environment. */
     bool eventDriven_ = true;
     bool dirty_ = true;
+    bool sharesDirty_ = true;
     int quietStreak_ = 0;
     bool fastReady_ = false;
     uint64_t demandCalls_ = 0;
@@ -234,10 +251,10 @@ class Node
      * domains; the non-SNC case uses domain 0 only). */
     std::array<cpu::ApportionCache, 4> llcCaches_;
 
-    /** Per-tick scratch, rebuilt from scratch every tick and kept
-     * only so its capacity is reused: pinned pools indexed by group
-     * id, the floating pool, and one LLC domain's requests with the
-     * states_ indices of their tasks. */
+    /** Core-share and LLC scratch, rebuilt from scratch on every
+     * recompute and kept only so its capacity is reused: pinned
+     * pools indexed by group id, the floating pool, and one LLC
+     * domain's requests with the states_ indices of their tasks. */
     std::vector<Pool> pinnedPools_;
     Pool floatingPool_;
     std::vector<cpu::LlcRequest> llcReqs_;

@@ -573,6 +573,37 @@ TEST(AnalyzeRealTree, StrippingANoteChangeFromASetterIsCaught)
     EXPECT_GE(hits, 1);
 }
 
+TEST(AnalyzeRealTree, StrippingANoteChangeFromSncIsCaughtAtTheNode)
+{
+    // MemSystem::setSncEnabled is the only dirty mark on the SNC
+    // path: Node::setSncEnabled just forwards to it, and an SNC flip
+    // changes the LLC domains the node's reused miss ratios came
+    // from. Without the mark the forwarding call must be flagged.
+    std::vector<SourceFile> files = realTree();
+    bool mutated = false;
+    for (auto &f : files)
+        if (f.path == "src/mem/mem_system.hh") {
+            std::string from = "sncEnabled_ = enabled;\n"
+                               "        cacheValid_ = false;\n"
+                               "        noteChange();";
+            ASSERT_NE(f.content.find(from), std::string::npos);
+            f.content = replaceAll(f.content, from,
+                                   "sncEnabled_ = enabled;\n"
+                                   "        cacheValid_ = false;");
+            mutated = true;
+        }
+    ASSERT_TRUE(mutated);
+    auto fs = analyzeFiles(files, "tools/kelp_analyze/layering.txt",
+                           realLayering());
+    int hits = 0;
+    for (const auto &f : fs)
+        if (f.rule == "dirty-discipline" &&
+            f.file == "src/node/node.hh" &&
+            f.excerpt.find("mem_.setSncEnabled(") != std::string::npos)
+            ++hits;
+    EXPECT_GE(hits, 1);
+}
+
 TEST(AnalyzeRealTree, RealLayeringTableParsesCleanly)
 {
     std::vector<Finding> bad;

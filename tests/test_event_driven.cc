@@ -157,7 +157,6 @@ TEST(EngineFastForward, TimeAdvanceMatchesSteppedEngine)
 
 TEST(ControllerCache, RepeatedDemandsHitAndMatch)
 {
-    const sim::Time dt = 100 * sim::usec;
     mem::Controller inc(0, 0, 100.0, mem::LatencyCurve());
     mem::Controller ref(0, 0, 100.0, mem::LatencyCurve());
 
@@ -167,12 +166,12 @@ TEST(ControllerCache, RepeatedDemandsHitAndMatch)
         inc.beginTick();
         inc.addDemand(1, d0, true, 0.0);
         inc.addDemand(2, 60.0, false, 10.0);
-        inc.resolve(dt);
+        inc.resolve();
 
         ref.beginTick();
         ref.addDemand(1, d0, true, 0.0);
         ref.addDemand(2, 60.0, false, 10.0);
-        ref.resolve(dt);
+        ref.resolve();
 
         for (int r = 1; r <= 2; ++r) {
             mem::Grant a = inc.grant(r);
@@ -191,16 +190,15 @@ TEST(ControllerCache, RepeatedDemandsHitAndMatch)
 
 TEST(ControllerCache, ReorderedDemandsMiss)
 {
-    const sim::Time dt = 100 * sim::usec;
     mem::Controller mc(0, 0, 100.0, mem::LatencyCurve());
     mc.beginTick();
     mc.addDemand(1, 40.0, false, 0.0);
     mc.addDemand(2, 60.0, false, 0.0);
-    mc.resolve(dt);
+    mc.resolve();
     mc.beginTick();
     mc.addDemand(2, 60.0, false, 0.0);
     mc.addDemand(1, 40.0, false, 0.0);
-    mc.resolve(dt);
+    mc.resolve();
     EXPECT_EQ(mc.cacheHits(), 0u);
     EXPECT_EQ(mc.cacheMisses(), 2u);
 }

@@ -86,7 +86,7 @@ TEST(Controller, UnderSubscribedFullGrant)
     mc.beginTick();
     mc.addDemand(1, 10.0, false, 0.0);
     mc.addDemand(2, 20.0, false, 0.0);
-    mc.resolve(1e-4);
+    mc.resolve();
     EXPECT_DOUBLE_EQ(mc.grant(1).fraction, 1.0);
     EXPECT_DOUBLE_EQ(mc.grant(1).delivered, 10.0);
     EXPECT_DOUBLE_EQ(mc.grant(2).delivered, 20.0);
@@ -100,7 +100,7 @@ TEST(Controller, OversubscribedProportionalShare)
     mc.beginTick();
     mc.addDemand(1, 60.0, false, 0.0);
     mc.addDemand(2, 40.0, false, 0.0);
-    mc.resolve(1e-4);
+    mc.resolve();
     EXPECT_NEAR(mc.grant(1).delivered, 30.0, 1e-9);
     EXPECT_NEAR(mc.grant(2).delivered, 20.0, 1e-9);
     EXPECT_NEAR(mc.grant(1).fraction, 0.5, 1e-9);
@@ -113,11 +113,11 @@ TEST(Controller, LatencyGrowsWithLoad)
     Controller mc = makeController(50.0);
     mc.beginTick();
     mc.addDemand(1, 10.0, false, 0.0);
-    mc.resolve(1e-4);
+    mc.resolve();
     double light = mc.latency();
     mc.beginTick();
     mc.addDemand(1, 45.0, false, 0.0);
-    mc.resolve(1e-4);
+    mc.resolve();
     double heavy = mc.latency();
     EXPECT_GT(heavy, light);
 }
@@ -128,7 +128,7 @@ TEST(Controller, LatencyExtraAddsToGrant)
     mc.beginTick();
     mc.addDemand(1, 10.0, false, 70.0);
     mc.addDemand(2, 10.0, false, 0.0);
-    mc.resolve(1e-4);
+    mc.resolve();
     EXPECT_NEAR(mc.grant(1).latency - mc.grant(2).latency, 70.0, 1e-9);
 }
 
@@ -138,7 +138,7 @@ TEST(Controller, MergesFlowsOfSameRequestor)
     mc.beginTick();
     mc.addDemand(1, 10.0, false, 0.0);
     mc.addDemand(1, 15.0, false, 0.0);
-    mc.resolve(1e-4);
+    mc.resolve();
     EXPECT_NEAR(mc.grant(1).delivered, 25.0, 1e-9);
 }
 
@@ -146,7 +146,7 @@ TEST(Controller, UnknownRequestorGetsNeutralGrant)
 {
     Controller mc = makeController();
     mc.beginTick();
-    mc.resolve(1e-4);
+    mc.resolve();
     Grant g = mc.grant(99);
     EXPECT_DOUBLE_EQ(g.delivered, 0.0);
     EXPECT_DOUBLE_EQ(g.fraction, 1.0);
@@ -157,7 +157,7 @@ TEST(Controller, ZeroDemandIgnored)
     Controller mc = makeController();
     mc.beginTick();
     mc.addDemand(1, 0.0, false, 0.0);
-    mc.resolve(1e-4);
+    mc.resolve();
     EXPECT_DOUBLE_EQ(mc.totalDelivered(), 0.0);
 }
 
@@ -180,23 +180,11 @@ TEST(Controller, BeginTickClearsState)
     Controller mc = makeController();
     mc.beginTick();
     mc.addDemand(1, 10.0, false, 0.0);
-    mc.resolve(1e-4);
+    mc.resolve();
     mc.beginTick();
-    mc.resolve(1e-4);
+    mc.resolve();
     EXPECT_DOUBLE_EQ(mc.totalDelivered(), 0.0);
     EXPECT_DOUBLE_EQ(mc.grant(1).delivered, 0.0);
-}
-
-TEST(Controller, CountersAccumulate)
-{
-    Controller mc = makeController();
-    for (int i = 0; i < 10; ++i) {
-        mc.beginTick();
-        mc.addDemand(1, 25.0, false, 0.0);
-        mc.resolve(1e-4);
-    }
-    sim::IntervalAccumulator::Snapshot s;
-    EXPECT_NEAR(mc.bwAccum().readSince(s, 0.0), 25.0, 1e-9);
 }
 
 TEST(Controller, RequestPriorityProtectsHighPriority)
@@ -206,7 +194,7 @@ TEST(Controller, RequestPriorityProtectsHighPriority)
     mc.beginTick();
     mc.addDemand(1, 10.0, true, 0.0);   // high priority
     mc.addDemand(2, 100.0, false, 0.0); // aggressor
-    mc.resolve(1e-4);
+    mc.resolve();
     // High priority gets full bandwidth at near-unloaded latency.
     EXPECT_NEAR(mc.grant(1).delivered, 10.0, 1e-9);
     EXPECT_LT(mc.grant(1).latency, 100.0);
@@ -224,7 +212,7 @@ TEST(Controller, RequestPriorityLowLatencyAtAnyLoad)
     mc.beginTick();
     mc.addDemand(1, 5.0, true, 0.0);
     mc.addDemand(2, 40.0, false, 0.0);  // 90% load, undersubscribed
-    mc.resolve(1e-4);
+    mc.resolve();
     EXPECT_DOUBLE_EQ(mc.grant(1).delivered, 5.0);
     EXPECT_LT(mc.grant(1).latency, mc.grant(2).latency);
     EXPECT_LT(mc.grant(1).latency, 100.0);
@@ -237,7 +225,7 @@ TEST(Controller, RequestPriorityFairWhenUnderSubscribed)
     mc.beginTick();
     mc.addDemand(1, 10.0, true, 0.0);
     mc.addDemand(2, 20.0, false, 0.0);
-    mc.resolve(1e-4);
+    mc.resolve();
     EXPECT_DOUBLE_EQ(mc.grant(1).delivered, 10.0);
     EXPECT_DOUBLE_EQ(mc.grant(2).delivered, 20.0);
 }
@@ -292,7 +280,7 @@ TEST(Upi, GrantFractionUnderSubscribed)
     UpiLink upi(40.0, 70.0, 0.5);
     upi.beginTick();
     upi.addDemand(20.0);
-    upi.resolve(1e-4);
+    upi.resolve();
     EXPECT_DOUBLE_EQ(upi.grantFraction(), 1.0);
     EXPECT_DOUBLE_EQ(upi.utilization(), 0.5);
 }
@@ -302,7 +290,7 @@ TEST(Upi, GrantFractionOversubscribed)
     UpiLink upi(40.0, 70.0, 0.5);
     upi.beginTick();
     upi.addDemand(80.0);
-    upi.resolve(1e-4);
+    upi.resolve();
     EXPECT_NEAR(upi.grantFraction(), 0.5, 1e-9);
     EXPECT_DOUBLE_EQ(upi.utilization(), 1.0);
 }
@@ -312,12 +300,12 @@ TEST(Upi, RemoteLatencyGrowsWithLoad)
     UpiLink upi(40.0, 70.0, 0.5);
     upi.beginTick();
     upi.addDemand(4.0);
-    upi.resolve(1e-4);
+    upi.resolve();
     double light = upi.remoteLatency();
     EXPECT_NEAR(light, 70.0, 2.0);
     upi.beginTick();
     upi.addDemand(38.0);
-    upi.resolve(1e-4);
+    upi.resolve();
     EXPECT_GT(upi.remoteLatency(), light * 2.0);
 }
 
@@ -326,13 +314,13 @@ TEST(Upi, CoherenceInflationRampsToFullTax)
     UpiLink upi(40.0, 70.0, 1.0);
     upi.beginTick();
     upi.addDemand(20.0);
-    upi.resolve(1e-4);
+    upi.resolve();
     // Congestion utilization = 20 / (0.8 * 40) = 0.625.
     EXPECT_NEAR(upi.coherenceInflation(),
                 1.0 + std::pow(20.0 / 32.0, 1.5), 1e-9);
     upi.beginTick();
     upi.addDemand(40.0);
-    upi.resolve(1e-4);
+    upi.resolve();
     EXPECT_NEAR(upi.coherenceInflation(), 2.0, 1e-9);
 }
 
@@ -341,12 +329,12 @@ TEST(Upi, CongestionUtilizationLeadsNominal)
     UpiLink upi(40.0, 70.0, 1.0);
     upi.beginTick();
     upi.addDemand(32.0);
-    upi.resolve(1e-4);
+    upi.resolve();
     EXPECT_NEAR(upi.utilization(), 0.8, 1e-9);
     EXPECT_NEAR(upi.congestionUtilization(), 1.0, 1e-9);
     upi.beginTick();
     upi.addDemand(16.0);
-    upi.resolve(1e-4);
+    upi.resolve();
     EXPECT_NEAR(upi.congestionUtilization(), 0.5, 1e-9);
 }
 
@@ -355,9 +343,9 @@ TEST(Upi, DemandResetsEachTick)
     UpiLink upi(40.0, 70.0, 0.5);
     upi.beginTick();
     upi.addDemand(40.0);
-    upi.resolve(1e-4);
+    upi.resolve();
     upi.beginTick();
-    upi.resolve(1e-4);
+    upi.resolve();
     EXPECT_DOUBLE_EQ(upi.utilization(), 0.0);
     EXPECT_DOUBLE_EQ(upi.coherenceInflation(), 1.0);
 }

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <vector>
+
 #include "node/node.hh"
 #include "node/platform.hh"
 #include "workload/batch_task.hh"
@@ -34,6 +37,24 @@ streamish()
 }
 
 constexpr sim::Time dt = 100 * sim::usec;
+
+/** A batch task that counts its llcProfile() calls. Only
+ * Node::computeLlc makes them, so the count shows how often the node
+ * recomputed its core shares and LLC miss ratios. */
+class LlcProfileSpy : public wl::BatchTask
+{
+  public:
+    using wl::BatchTask::BatchTask;
+
+    wl::HostPhaseParams
+    llcProfile() const override
+    {
+        ++calls;
+        return wl::BatchTask::llcProfile();
+    }
+
+    mutable int calls = 0;
+};
 
 } // namespace
 
@@ -261,4 +282,148 @@ TEST(Node, EngineAttachDrivesTicks)
     n.attach(e);
     e.run(0.1);
     EXPECT_NEAR(t.completedWork(), 0.2, 0.01);
+}
+
+TEST(Node, CoreSharesAreReusedUntilAChangeHookFires)
+{
+#ifndef NDEBUG
+    // Debug builds recompute every reused tick to cross-check it.
+    GTEST_SKIP() << "debug cross-checks recompute by design";
+#endif
+    node::Node n(spec());
+    auto g = n.groups().create("g", hal::Priority::Low).id();
+    auto &t = n.add(std::make_unique<LlcProfileSpy>("t", g, 4,
+                                                    streamish()));
+    int ticks = 0;
+    auto step = [&] {
+        n.tick(ticks * dt, dt);
+        ++ticks;
+    };
+    step();
+    const int per_compute = t.calls;
+    ASSERT_GT(per_compute, 0);
+
+    // Nothing marked the node dirty: the shares are reused.
+    for (int i = 0; i < 10; ++i)
+        step();
+    EXPECT_EQ(t.calls, per_compute);
+
+    // A CAT write fires the registry hook: one recompute, then reuse.
+    n.knobs().setCatWays(g, 2);
+    step();
+    EXPECT_EQ(t.calls, 2 * per_compute);
+    step();
+    EXPECT_EQ(t.calls, 2 * per_compute);
+
+    // The reference path recomputes on every tick.
+    n.setEventDrivenEnabled(false);
+    for (int i = 0; i < 5; ++i) {
+        const int before = t.calls;
+        step();
+        EXPECT_EQ(t.calls, before + per_compute);
+    }
+}
+
+TEST(Node, ReusedSharesMatchRecomputedThroughEveryChangeHook)
+{
+    // Two identical nodes, one on the reference path. Every step of
+    // the script changes one input of the core shares, the LLC miss
+    // ratios, or the routing; a change hook that went missing would
+    // leave the event-driven node on stale shares.
+    struct Rig
+    {
+        node::Node n{spec()};
+        sim::GroupId ml = 0;
+        sim::GroupId batch = 0;
+        sim::GroupId late = 0;
+        wl::BatchTask *victim = nullptr;
+        wl::BatchTask *scan = nullptr;
+        wl::BatchTask *stream = nullptr;
+    };
+    auto build = [](Rig &r) {
+        r.ml = r.n.groups().create("ml", hal::Priority::High).id();
+        r.batch = r.n.groups().create("batch", hal::Priority::Low).id();
+        r.n.knobs().setCores(r.ml, 0, 0, 4);
+        r.n.knobs().setCores(r.batch, 0, 1, 6);
+        r.n.knobs().setPrefetchersEnabled(r.batch, 6);
+        wl::HostPhaseParams hot;
+        hot.cpuFrac = 0.5;
+        hot.llcFootprintMb = 6.0;
+        hot.llcHitMax = 0.9;
+        wl::HostPhaseParams scan = streamish();
+        scan.llcFootprintMb = 32.0;
+        scan.llcHitMax = 0.9;
+        scan.llcWeight = 5.0;
+        r.victim = &r.n.add(
+            std::make_unique<wl::BatchTask>("victim", r.ml, 6, hot));
+        r.scan = &r.n.add(
+            std::make_unique<wl::BatchTask>("scan", r.batch, 8, scan));
+        r.stream = &r.n.add(std::make_unique<wl::BatchTask>(
+            "stream", r.batch, 4, streamish()));
+    };
+    Rig fast, ref;
+    build(fast);
+    build(ref);
+    ref.n.setEventDrivenEnabled(false);
+
+    using wl::LifeState;
+    const std::vector<std::function<void(Rig &)>> script = {
+        [](Rig &r) { r.n.knobs().setCores(r.ml, 0, 1, 2); },
+        [](Rig &r) { r.n.knobs().setCatWays(r.ml, 4); },
+        [](Rig &r) { r.n.knobs().setPrefetchersEnabled(r.batch, 2); },
+        [](Rig &r) { r.scan->setLifeState(LifeState::Suspended); },
+        [](Rig &r) { r.scan->setLifeState(LifeState::Running); },
+        [](Rig &r) { r.scan->setLifeState(LifeState::Finished); },
+        [](Rig &r) { r.stream->setThreads(12); },
+        [](Rig &r) { r.stream->setHomeSocket(1); },
+        [](Rig &r) { r.stream->setDataPlacement({{0, 1, 1.0}}); },
+        [](Rig &r) {
+            r.late = r.n.groups().create("late", hal::Priority::Low).id();
+        },
+        [](Rig &r) {
+            r.n.add(std::make_unique<wl::BatchTask>("late", r.late, 3,
+                                                    streamish()));
+        },
+        [](Rig &r) { r.n.setSncEnabled(true); },
+        [](Rig &r) { r.n.setSncEnabled(false); },
+        [](Rig &r) { r.n.setPriorityAwareBackpressure(true); },
+    };
+
+    int ticks = 0;
+    auto tickBoth = [&] {
+        fast.n.tick(ticks * dt, dt);
+        ref.n.tick(ticks * dt, dt);
+        ++ticks;
+        ASSERT_EQ(fast.n.tasks().size(), ref.n.tasks().size());
+        for (size_t i = 0; i < ref.n.tasks().size(); ++i) {
+            const wl::ExecEnv &a = fast.n.lastEnv(*fast.n.tasks()[i]);
+            const wl::ExecEnv &b = ref.n.lastEnv(*ref.n.tasks()[i]);
+            SCOPED_TRACE("tick " + std::to_string(ticks) + ", task " +
+                         ref.n.tasks()[i]->name());
+            EXPECT_EQ(a.socket, b.socket);
+            EXPECT_EQ(a.effCores, b.effCores);
+            EXPECT_EQ(a.smtFactor, b.smtFactor);
+            EXPECT_EQ(a.missRatio, b.missRatio);
+            EXPECT_EQ(a.pfFraction, b.pfFraction);
+            EXPECT_EQ(a.throttle, b.throttle);
+            EXPECT_EQ(a.latencyNs, b.latencyNs);
+            EXPECT_EQ(a.baseLatencyNs, b.baseLatencyNs);
+            EXPECT_EQ(a.bwFraction, b.bwFraction);
+            const int id = ref.n.tasks()[i]->id();
+            mem::Grant ga = fast.n.memSystem().grant(id);
+            mem::Grant gb = ref.n.memSystem().grant(id);
+            EXPECT_EQ(ga.delivered, gb.delivered);
+            EXPECT_EQ(ga.fraction, gb.fraction);
+            EXPECT_EQ(ga.latency, gb.latency);
+        }
+    };
+
+    for (int i = 0; i < 3; ++i)
+        tickBoth();
+    for (const auto &change : script) {
+        change(fast);
+        change(ref);
+        for (int i = 0; i < 3; ++i)
+            tickBoth();
+    }
 }

@@ -44,14 +44,16 @@ knobMutators()
 }
 
 /** Task lifecycle transitions and topology changes: everything that
- * alters what a node's resolve pass would compute and therefore must
- * invalidate quiescence. */
+ * alters what a node's resolve pass would compute, or the core shares
+ * and LLC miss ratios it reuses, and therefore must invalidate
+ * quiescence. */
 const std::set<std::string> &
 lifecycleMutators()
 {
     static const std::set<std::string> kMut = {
         "setLifeState", "setHomeSocket", "setDataPlacement",
-        "setThreads", "submit"};
+        "setThreads", "submit", "setSncEnabled", "setArbitration",
+        "setPriorityAwareBackpressure", "addTask"};
     return kMut;
 }
 
