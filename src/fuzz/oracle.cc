@@ -28,13 +28,15 @@ struct RunCapture
  * Execute one config with a decision log attached. Contract
  * violations are measured with the calling thread's counter, so
  * concurrent trials on pool workers attribute violations exactly.
+ * With @p mem_reuse false the memory system reuses nothing across
+ * ticks (no resolve cache, flow-plan reuse, or arbitration skip).
  *
  * Never writes ContractMode from a worker: parallel callers must have
  * set Count mode up front. The serial fallback here keeps one-off
  * callers (corpus replay of a single spec, tests) honest.
  */
 RunCapture
-execute(const exp::RunConfig &cfg)
+execute(const exp::RunConfig &cfg, bool mem_reuse = true)
 {
     if (sim::contractMode() != sim::ContractMode::Count)
         sim::setContractMode(sim::ContractMode::Count);
@@ -45,6 +47,8 @@ execute(const exp::RunConfig &cfg)
 
     const uint64_t before = sim::contractViolationsHere();
     exp::Scenario s = exp::buildScenario(cfg, obs);
+    if (!mem_reuse)
+        s.node->memSystem().setResolveCacheEnabled(false);
     cap.result = exp::measureScenario(s, cfg);
     cap.contractDelta = sim::contractViolationsHere() - before;
     if (s.manager)
@@ -162,7 +166,7 @@ oracleNames()
         "contract-violation", "watchdog-stuck",
         "ladder-thrash",      "bad-metric",
         "request-conservation", "restart-divergence",
-        "nondeterminism",
+        "nondeterminism",     "reference-divergence",
     };
     return kNames;
 }
@@ -333,6 +337,28 @@ runTrial(const ScenarioSpec &spec, const OracleConfig &ocfg)
         }
     }
 
+    /*
+     * Every optimisation switch is specified to be bit-neutral, so the
+     * reference path -- full ticks, and a memory system that reuses
+     * nothing across ticks -- must reproduce the primary run byte for
+     * byte.
+     */
+    if (ocfg.referenceRun) {
+        exp::RunConfig reference = cfg;
+        reference.eventDriven = false;
+        RunCapture replay = execute(reference, false);
+        if (resultText(replay.result) != out.resultText) {
+            out.hits.push_back(
+                {"reference-divergence",
+                 "reference-path re-run produced different metrics"});
+        } else if (replay.log.toJsonl() != primary.log.toJsonl()) {
+            out.hits.push_back(
+                {"reference-divergence",
+                 "reference-path re-run produced a different decision "
+                 "log"});
+        }
+    }
+
     return out;
 }
 
@@ -348,6 +374,7 @@ oracleFires(const ScenarioSpec &spec, const std::string &oracle,
     OracleConfig narrowed = ocfg;
     narrowed.twinRun = (oracle == "restart-divergence");
     narrowed.doubleRun = (oracle == "nondeterminism");
+    narrowed.referenceRun = (oracle == "reference-divergence");
 
     TrialOutcome out = runTrial(spec, narrowed);
     for (const OracleHit &hit : out.hits) {

@@ -28,7 +28,11 @@
  *                        the fault-free, SLO-off regime where restart
  *                        is specified to be bit-neutral);
  *  - nondeterminism      re-running the identical spec produced a
- *                        byte-different result or decision log.
+ *                        byte-different result or decision log;
+ *  - reference-divergence  the spec rerun on the reference path (full
+ *                        ticks, no reuse across ticks in the memory
+ *                        system) produced a byte-different result or
+ *                        decision log.
  *
  * The trial also extracts the coverage signature the fuzzer's search
  * is guided by: the set of controller decision patterns (event kinds,
@@ -75,6 +79,10 @@ struct OracleConfig
 
     /** Re-run the spec for the nondeterminism oracle. */
     bool doubleRun = true;
+
+    /** Re-run the spec on the reference path for the
+     * reference-divergence oracle. */
+    bool referenceRun = true;
 };
 
 /** One oracle firing. */

@@ -17,153 +17,114 @@ Controller::Controller(sim::McId id, sim::SocketId socket,
 }
 
 void
-Controller::beginTick()
+Controller::resolve(const std::vector<Contribution> &in, int slots,
+                    bool allow_skip)
 {
-    // Keep last tick's demand sequence around so addDemand() can
-    // detect, flow by flow, whether this tick registers the exact
-    // same set; grants_ stays valid so a hit can skip arbitration.
-    demands_.swap(prevDemands_);
-    demands_.clear();
-    demandsDirty_ = false;
-}
-
-void
-Controller::addDemand(int requestor, sim::GiBps demand,
-                      bool high_priority, sim::Nanoseconds latency_extra)
-{
-    KELP_ASSERT(requestor >= 0, "negative requestor id ", requestor);
-    KELP_ASSERT(demand >= 0.0, "negative bandwidth demand");
-    if (demand <= 0.0)
-        return;
-    size_t i = demands_.size();
-    if (i >= prevDemands_.size()) {
-        demandsDirty_ = true;
-    } else {
-        const Demand &p = prevDemands_[i];
-        if (p.requestor != requestor || p.demand != demand ||
-            p.highPriority != high_priority ||
-            p.latencyExtra != latency_extra) {
-            demandsDirty_ = true;
-        }
-    }
-    demands_.push_back({requestor, demand, high_priority, latency_extra});
-}
-
-void
-Controller::resolve()
-{
-    bool hit = cacheValid_ && !demandsDirty_ &&
-               demands_.size() == prevDemands_.size();
+    bool hit = allow_skip && skipValid_ &&
+               static_cast<size_t>(slots) == slots_.size() &&
+               in == prev_;
     if (hit) {
         ++cacheHits_;
 #ifndef NDEBUG
-        // Cross-check: arbitration over an identical demand set must
-        // reproduce the cached outputs bitwise.
+        // Cross-check: arbitration over an identical contribution
+        // list must reproduce the skipped outputs bitwise.
         double util = utilization_;
         sim::Nanoseconds lat = latency_;
         sim::GiBps del = delivered_;
-        auto saved_grants = grants_;
-        arbitrate();
+        const auto saved = slots_;
+        arbitrate(in, slots);
         KELP_INVARIANT(utilization_ == util && latency_ == lat &&
                            delivered_ == del,
-                       "controller demand-cache hit diverged from "
+                       "controller arbitration skip diverged from "
                        "full arbitration (mc ", id_, ")");
-        KELP_INVARIANT(grants_.ids() == saved_grants.ids(),
-                       "controller demand-cache hit diverged: "
-                       "requestor set changed (mc ", id_, ")");
-        for (int req : saved_grants.ids()) {
-            const Grant &g = *saved_grants.find(req);
-            const Grant cur = grant(req);
-            KELP_INVARIANT(cur.delivered == g.delivered &&
+        for (size_t i = 0; i < saved.size(); ++i) {
+            const Grant &g = saved[i].grant;
+            const Grant &cur = slots_[i].grant;
+            KELP_INVARIANT(saved[i].live == slots_[i].live &&
+                               cur.delivered == g.delivered &&
                                cur.fraction == g.fraction &&
                                cur.latency == g.latency,
-                           "controller demand-cache grant diverged "
-                           "(mc ", id_, ", requestor ", req, ")");
+                           "controller arbitration skip grant diverged "
+                           "(mc ", id_, ", slot ", i, ")");
         }
 #endif
     } else {
         ++cacheMisses_;
-        arbitrate();
-        cacheValid_ = true;
+        prev_ = in;
+        arbitrate(in, slots);
+        skipValid_ = true;
     }
 }
 
 void
-Controller::arbitrate()
+Controller::arbitrate(const std::vector<Contribution> &in, int slots)
 {
-    grants_.clear();
+    KELP_ASSERT(slots >= 0, "negative merge slot count");
+    slots_.assign(static_cast<size_t>(slots), Slot{});
     sim::GiBps total = 0.0;
-    for (const auto &d : demands_)
-        total += d.demand;
+    for (const auto &c : in) {
+        KELP_ASSERT(c.demand >= 0.0, "negative bandwidth demand");
+        KELP_ASSERT(c.slot >= 0 && c.slot < slots,
+                    "merge slot ", c.slot, " out of range (mc ", id_,
+                    ")");
+        if (c.demand > 0.0)
+            total += c.demand;
+    }
 
     // Demand-based utilization drives latency: queues form from what
     // is *requested*, even though delivery is capped at capacity.
     utilization_ = std::min(total / capacity_, 1.0);
     latency_ = curve_.at(utilization_);
 
+    // Each class's delivered fraction and latency. Fair arbitration
+    // has one class: everybody shares proportionally and sees the
+    // loaded latency.
+    double hi_frac, lo_frac;
+    sim::Nanoseconds hi_lat = latency_;
     if (arbitration_ == Arbitration::Fair) {
-        double frac = total <= capacity_ ? 1.0 : capacity_ / total;
-        delivered_ = 0.0;
-        for (const auto &d : demands_) {
-            Grant &g = grants_[d.requestor];
-            double given = d.demand * frac;
-            // A requestor may submit several flows to one controller
-            // (e.g., demand + prefetch); merge grants by demand
-            // weight.
-            double w_old = g.delivered;
-            g.delivered += given;
-            g.fraction = frac;
-            if (g.delivered > 0.0) {
-                g.latency = (g.latency * w_old +
-                             (latency_ + d.latencyExtra) * given) /
-                            g.delivered;
-            }
-            delivered_ += given;
-        }
+        hi_frac = lo_frac = total <= capacity_ ? 1.0 : capacity_ / total;
     } else {
         // RequestPriority: serve high-priority demands at (almost)
         // unloaded latency first; low-priority flows split what is
         // left and absorb all the queueing.
         sim::GiBps hi_total = 0.0, lo_total = 0.0;
-        for (const auto &d : demands_)
-            (d.highPriority ? hi_total : lo_total) += d.demand;
+        for (const auto &c : in) {
+            if (c.demand > 0.0)
+                (c.highPriority ? hi_total : lo_total) += c.demand;
+        }
 
-        double hi_frac = hi_total <= capacity_ ?
-            1.0 : capacity_ / hi_total;
+        hi_frac = hi_total <= capacity_ ? 1.0 : capacity_ / hi_total;
         sim::GiBps remaining =
             std::max(0.0, capacity_ - hi_total * hi_frac);
-        double lo_frac = lo_total <= remaining ?
+        lo_frac = lo_total <= remaining ?
             1.0 : (lo_total > 0.0 ? remaining / lo_total : 1.0);
 
         // High-priority requests bypass the queue; they only see the
         // load their own class generates.
         double hi_util = std::min(hi_total / capacity_, 1.0);
-        sim::Nanoseconds hi_lat = curve_.at(hi_util);
-
-        delivered_ = 0.0;
-        for (const auto &d : demands_) {
-            Grant &g = grants_[d.requestor];
-            double frac = d.highPriority ? hi_frac : lo_frac;
-            sim::Nanoseconds lat =
-                (d.highPriority ? hi_lat : latency_) + d.latencyExtra;
-            double given = d.demand * frac;
-            double w_old = g.delivered;
-            g.delivered += given;
-            g.fraction = frac;
-            if (g.delivered > 0.0) {
-                g.latency =
-                    (g.latency * w_old + lat * given) / g.delivered;
-            }
-            delivered_ += given;
-        }
+        hi_lat = curve_.at(hi_util);
     }
-}
 
-Grant
-Controller::grant(int requestor) const
-{
-    const Grant *g = grants_.find(requestor);
-    return g ? *g : Grant{0.0, 1.0, latency_};
+    delivered_ = 0.0;
+    for (const auto &c : in) {
+        if (c.demand <= 0.0)
+            continue;
+        Slot &s = slots_[static_cast<size_t>(c.slot)];
+        s.live = true;
+        Grant &g = s.grant;
+        double frac = c.highPriority ? hi_frac : lo_frac;
+        sim::Nanoseconds lat =
+            (c.highPriority ? hi_lat : latency_) + c.latencyExtra;
+        double given = c.demand * frac;
+        // A requestor may submit several flows to one controller
+        // (e.g., demand + prefetch); merge grants by demand weight.
+        double w_old = g.delivered;
+        g.delivered += given;
+        g.fraction = frac;
+        if (g.delivered > 0.0)
+            g.latency = (g.latency * w_old + lat * given) / g.delivered;
+        delivered_ += given;
+    }
 }
 
 } // namespace mem

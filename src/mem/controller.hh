@@ -2,9 +2,13 @@
  * @file
  * Memory controller bandwidth/latency model.
  *
- * Every tick, requestors (tasks) register bandwidth demands; resolve()
- * computes each requestor's delivered bandwidth and the controller's
- * effective latency from the latency-load curve.
+ * Every tick, the memory system hands each controller the list of
+ * contributions routed to it, in flow order; resolve() arbitrates them
+ * into one grant per merge slot and computes the controller's
+ * utilization and effective latency from the latency-load curve. A
+ * merge slot is the dense index of one requestor at this controller,
+ * assigned by MemSystem's flow plan, so several flows of one
+ * requestor merge into one grant.
  *
  * Two arbitration modes are supported:
  *  - Fair: proportional sharing when oversubscribed. This models the
@@ -20,10 +24,11 @@
 #ifndef KELP_MEM_CONTROLLER_HH
 #define KELP_MEM_CONTROLLER_HH
 
+#include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "mem/latency_curve.hh"
-#include "mem/requestor_table.hh"
 #include "sim/types.hh"
 
 namespace kelp {
@@ -43,6 +48,25 @@ struct Grant
 
     /** Effective access latency this requestor observed (ns). */
     sim::Nanoseconds latency = 0.0;
+};
+
+/** One flow's demand at one controller for one tick. */
+struct Contribution
+{
+    /** Merge slot of the flow's requestor at this controller. */
+    int slot = 0;
+
+    /** Requested bandwidth, GiB/s; a value <= 0 is skipped. */
+    sim::GiBps demand = 0.0;
+
+    /** Request-priority class (RequestPriority arbitration only). */
+    bool highPriority = false;
+
+    /** Latency added to this flow's accesses (the UPI hop for
+     * remote flows), ns. */
+    sim::Nanoseconds latencyExtra = 0.0;
+
+    bool operator==(const Contribution &) const = default;
 };
 
 /**
@@ -70,41 +94,28 @@ class Controller
     setArbitration(Arbitration mode)
     {
         arbitration_ = mode;
-        cacheValid_ = false;
+        skipValid_ = false;
     }
     Arbitration arbitration() const { return arbitration_; }
 
-    /** Clear per-tick demand state. */
-    void beginTick();
-
     /**
-     * Register demand for this tick.
+     * Arbitrate one tick's contributions into per-slot grants,
+     * utilization, and latency.
      *
-     * @param requestor Task identifier (>= 0; grants are kept in a
-     *        table indexed by it).
-     * @param demand Requested bandwidth, GiB/s.
-     * @param high_priority Only meaningful under RequestPriority.
-     * @param latency_extra Additional per-request latency (e.g., the
-     *        UPI hop for remote flows), added to this requestor's
-     *        grant latency.
+     * @param in This tick's contributions, in flow order. A demand
+     *        below 0 panics; a demand of 0 is skipped.
+     * @param slots Number of merge slots; every contribution's slot
+     *        lies in [0, slots).
+     * @param allow_skip Arbitration skip: when true and @p in and
+     *        @p slots equal the previous call's, the previous outputs
+     *        stand -- arbitration is pure in them, so they are
+     *        unchanged by construction. Debug builds re-arbitrate on
+     *        every skip and check the outputs bitwise.
      */
-    void addDemand(int requestor, sim::GiBps demand, bool high_priority,
-                   sim::Nanoseconds latency_extra);
+    void resolve(const std::vector<Contribution> &in, int slots,
+                 bool allow_skip);
 
-    /**
-     * Resolve all registered demands into grants, utilization, and
-     * latency.
-     *
-     * Incremental: when this tick's addDemand() sequence matched the
-     * previous tick's exactly (same requestors, demands, priorities,
-     * and latency extras, in the same order), arbitration is skipped
-     * and the previous outputs stand -- the grants, utilization, and
-     * latency are unchanged by construction. Debug builds re-run
-     * arbitration on every hit and check the cached outputs bitwise.
-     */
-    void resolve();
-
-    /** Arbitration-skip counters for the perf breakdown. */
+    /** Arbitration skips and arbitrations, for the perf breakdown. */
     uint64_t cacheHits() const { return cacheHits_; }
     uint64_t cacheMisses() const { return cacheMisses_; }
 
@@ -114,25 +125,31 @@ class Controller
     /** Controller-level effective latency from the last resolve(). */
     sim::Nanoseconds latency() const { return latency_; }
 
-    /** Grant for a requestor (zero Grant if it had no demand). */
-    Grant grant(int requestor) const;
+    /** Grant of a merge slot from the last resolve(); {0, 1,
+     * latency()} when no live contribution landed in it. */
+    Grant
+    grant(int slot) const
+    {
+        const auto i = static_cast<size_t>(slot);
+        if (slot < 0 || i >= slots_.size() || !slots_[i].live)
+            return Grant{0.0, 1.0, latency_};
+        return slots_[i].grant;
+    }
 
     /** Total delivered bandwidth from the last resolve(). */
     sim::GiBps totalDelivered() const { return delivered_; }
 
   private:
-    struct Demand
+    struct Slot
     {
-        int requestor;
-        sim::GiBps demand;
-        bool highPriority;
-        sim::Nanoseconds latencyExtra;
+        Grant grant;
+        bool live = false;
     };
 
-    /** Run arbitration over demands_ into the output members. Pure
-     * in (demands_, arbitration_, capacity_, curve_): re-running it
-     * produces bitwise-identical outputs. */
-    void arbitrate();
+    /** The arbitration arithmetic for both modes. Pure in (in, slots,
+     * arbitration_, capacity_, curve_): re-running it produces
+     * bitwise-identical outputs. */
+    void arbitrate(const std::vector<Contribution> &in, int slots);
 
     sim::McId id_;
     sim::SocketId socket_;
@@ -140,13 +157,13 @@ class Controller
     LatencyCurve curve_;
     Arbitration arbitration_ = Arbitration::Fair;
 
-    std::vector<Demand> demands_;
-    std::vector<Demand> prevDemands_;
-    bool demandsDirty_ = false;
-    bool cacheValid_ = false;
+    /** Inputs of the last arbitration, for the skip compare. */
+    std::vector<Contribution> prev_;
+    bool skipValid_ = false;
     uint64_t cacheHits_ = 0;
     uint64_t cacheMisses_ = 0;
-    RequestorTable<Grant> grants_;
+
+    std::vector<Slot> slots_;
     double utilization_ = 0.0;
     sim::Nanoseconds latency_;
     sim::GiBps delivered_ = 0.0;

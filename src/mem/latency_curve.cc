@@ -1,28 +1,9 @@
 #include "mem/latency_curve.hh"
 
-#include <algorithm>
-#include <cmath>
-
 #include "sim/log.hh"
 
 namespace kelp {
 namespace mem {
-
-namespace {
-
-/** Convex queueing term: gentle below ~50% load, exploding toward
- * saturation (bandwidth-latency hockey stick). */
-double
-queueTerm(double u)
-{
-    // Past ~97% the queues are bounded in practice (finite MSHRs and
-    // controller queues); clamp so inflation saturates rather than
-    // diverging.
-    u = std::clamp(u, 0.0, 0.95);
-    return u * u / (1.0 - u);
-}
-
-} // namespace
 
 LatencyCurve::LatencyCurve(sim::Nanoseconds base_ns,
                            double inflation_at_95)
@@ -31,18 +12,6 @@ LatencyCurve::LatencyCurve(sim::Nanoseconds base_ns,
     KELP_ASSERT(base_ns > 0.0, "latency must be positive");
     KELP_ASSERT(inflation_at_95 >= 1.0, "inflation must be >= 1");
     alpha_ = (inflation_at_95 - 1.0) / queueTerm(0.95);
-}
-
-double
-LatencyCurve::inflation(double utilization) const
-{
-    return 1.0 + alpha_ * queueTerm(utilization);
-}
-
-sim::Nanoseconds
-LatencyCurve::at(double utilization) const
-{
-    return base_ * inflation(utilization);
 }
 
 } // namespace mem

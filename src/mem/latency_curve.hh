@@ -12,6 +12,8 @@
 #ifndef KELP_MEM_LATENCY_CURVE_HH
 #define KELP_MEM_LATENCY_CURVE_HH
 
+#include <algorithm>
+
 #include "sim/types.hh"
 
 namespace kelp {
@@ -30,15 +32,35 @@ class LatencyCurve
                           double inflation_at_95 = 4.0);
 
     /** Effective latency at the given utilization. */
-    sim::Nanoseconds at(double utilization) const;
+    sim::Nanoseconds
+    at(double utilization) const
+    {
+        return base_ * inflation(utilization);
+    }
 
     /** Latency multiplier (>= 1) at the given utilization. */
-    double inflation(double utilization) const;
+    double
+    inflation(double utilization) const
+    {
+        return 1.0 + alpha_ * queueTerm(utilization);
+    }
 
     /** Unloaded latency. */
     sim::Nanoseconds base() const { return base_; }
 
   private:
+    /** Convex queueing term: gentle below ~50% load, exploding toward
+     * saturation (bandwidth-latency hockey stick). */
+    static double
+    queueTerm(double u)
+    {
+        // Past ~97% the queues are bounded in practice (finite MSHRs
+        // and controller queues); clamp so inflation saturates rather
+        // than diverging.
+        u = std::clamp(u, 0.0, 0.95);
+        return u * u / (1.0 - u);
+    }
+
     sim::Nanoseconds base_;
     double alpha_;
 };

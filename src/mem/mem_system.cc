@@ -15,12 +15,11 @@ MemSystem::MemSystem(const MemSystemConfig &cfg)
                 "MemSystem supports 1 or 2 sockets");
     sockets_.resize(cfg.numSockets);
     LatencyCurve curve(cfg.socket.baseLatency, cfg.socket.inflationAt95);
+    mcs_.reserve(static_cast<size_t>(cfg.numSockets) * 2);
     sim::McId next_id = 0;
     for (int s = 0; s < cfg.numSockets; ++s) {
-        for (int d = 0; d < 2; ++d) {
-            sockets_[s].mc[d] = std::make_unique<Controller>(
-                next_id++, s, cfg.socket.peakBw / 2.0, curve);
-        }
+        for (int d = 0; d < 2; ++d)
+            mcs_.emplace_back(next_id++, s, cfg.socket.peakBw / 2.0, curve);
         sockets_[s].backpressure = std::make_unique<BackpressureUnit>(
             cfg.socket.distressThreshold, cfg.socket.throttleStrength);
     }
@@ -29,9 +28,8 @@ MemSystem::MemSystem(const MemSystemConfig &cfg)
 void
 MemSystem::setArbitration(Arbitration mode)
 {
-    for (auto &s : sockets_)
-        for (auto &mc : s.mc)
-            mc->setArbitration(mode);
+    for (auto &mc : mcs_)
+        mc.setArbitration(mode);
     cacheValid_ = false;
     noteChange();
 }
@@ -40,9 +38,8 @@ uint64_t
 MemSystem::mcCacheHits() const
 {
     uint64_t n = 0;
-    for (const auto &s : sockets_)
-        for (const auto &mc : s.mc)
-            n += mc->cacheHits();
+    for (const auto &mc : mcs_)
+        n += mc.cacheHits();
     return n;
 }
 
@@ -50,21 +47,20 @@ uint64_t
 MemSystem::mcCacheMisses() const
 {
     uint64_t n = 0;
-    for (const auto &s : sockets_)
-        for (const auto &mc : s.mc)
-            n += mc->cacheMisses();
+    for (const auto &mc : mcs_)
+        n += mc.cacheMisses();
     return n;
 }
 
 void
 MemSystem::beginTick()
 {
-    // Keep last tick's flows around so addFlow can detect whether
-    // this tick's demand set changed; controller/link demand is
-    // cleared lazily in resolveFull, since a cache hit reuses it.
-    std::swap(flows_, prevFlows_);
-    flows_.clear();
-    flowsDirty_ = false;
+    // Last tick's flows stay in flows_ so addFlow can compare this
+    // tick's, position by position, as it overwrites them.
+    prevNumFlows_ = numFlows_;
+    numFlows_ = 0;
+    shapeChanged_ = false;
+    demandChanged_ = false;
 }
 
 void
@@ -82,25 +78,37 @@ MemSystem::addFlow(int requestor, const Route &route, sim::GiBps demand,
     KELP_ASSERT(requestor >= 0, "negative requestor id ", requestor);
     if (demand <= 0.0)
         return;
-    if (!flowsDirty_) {
-        const size_t i = flows_.size();
-        if (i >= prevFlows_.size()) {
-            flowsDirty_ = true;
-        } else {
-            const Flow &p = prevFlows_[i];
-            // Exact comparison on purpose: any drift at all forces a
-            // full recompute, so the cache can never change results.
-            if (p.requestor != requestor || p.demand != demand ||
-                p.highPriority != high_priority ||
-                p.route.reqSocket != route.reqSocket ||
-                p.route.reqSub != route.reqSub ||
-                p.route.homeSocket != route.homeSocket ||
-                p.route.homeSub != route.homeSub) {
-                flowsDirty_ = true;
-            }
+    const size_t i = numFlows_++;
+    if (i == flows_.size())
+        flows_.emplace_back();
+    Flow &f = flows_[i];
+    // Exact comparison on purpose: any drift at all forces a
+    // recompute, so reuse can never change results. The shape decides
+    // whether the plan is reused, the demand whether the whole
+    // resolve is.
+    if (!shapeChanged_ && i < prevNumFlows_ && f.requestor == requestor &&
+        f.highPriority == high_priority &&
+        f.route.reqSocket == route.reqSocket &&
+        f.route.reqSub == route.reqSub &&
+        f.route.homeSocket == route.homeSocket &&
+        f.route.homeSub == route.homeSub) {
+        if (f.demand != demand) {
+            demandChanged_ = true;
+            f.demand = demand;
         }
+        return;
     }
-    flows_.push_back({requestor, route, demand, high_priority});
+    shapeChanged_ = true;
+    // Stored field by field: a whole-struct copy reads the caller's
+    // freshly stored route with wide loads, which stall on its
+    // narrow stores.
+    f.requestor = requestor;
+    f.route.reqSocket = route.reqSocket;
+    f.route.reqSub = route.reqSub;
+    f.route.homeSocket = route.homeSocket;
+    f.route.homeSub = route.homeSub;
+    f.demand = demand;
+    f.highPriority = high_priority;
 }
 
 double
@@ -114,27 +122,112 @@ MemSystem::sncFactor(const Route &route) const
 }
 
 void
+MemSystem::buildPlan(FlowPlan &plan) const
+{
+    for (int id : plan.requestors)
+        plan.slotOf[static_cast<size_t>(id)] = -1;
+    plan.requestors.clear();
+    plan.flows.clear();
+    plan.lanes.resize(mcs_.size());
+    for (auto &lane : plan.lanes)
+        lane.clear();
+    plan.mergeSlots.assign(mcs_.size(), 0);
+    plan.mergeSlotOf.clear();
+    plan.anyRemote = false;
+    for (size_t i = 0; i < numFlows_; ++i) {
+        const Flow &f = flows_[i];
+        const auto id = static_cast<size_t>(f.requestor);
+        if (id >= plan.slotOf.size())
+            plan.slotOf.resize(id + 1, -1);
+        int &slot = plan.slotOf[id];
+        if (slot < 0) {
+            slot = static_cast<int>(plan.requestors.size());
+            plan.requestors.push_back(f.requestor);
+            plan.mergeSlotOf.resize(plan.requestors.size() * mcs_.size(),
+                                    -1);
+        }
+        PlannedFlow p;
+        p.slot = slot;
+        p.mc = f.route.homeSocket * 2 + (sncEnabled_ ? f.route.homeSub : 0);
+        p.sncFactor = sncFactor(f.route);
+        p.remote = f.route.homeSocket != f.route.reqSocket;
+        p.highPriority = f.highPriority;
+        // One target with subdomains, both of the home socket's
+        // controllers without.
+        for (int t = 0; t < (sncEnabled_ ? 1 : 2); ++t) {
+            const auto mc = static_cast<size_t>(p.mc + t);
+            int &merge = plan.mergeSlotOf[mergeIndex(slot, mc)];
+            if (merge < 0)
+                merge = plan.mergeSlots[mc]++;
+            p.mergeSlot[static_cast<size_t>(t)] = merge;
+            plan.lanes[mc].push_back(static_cast<int>(i));
+        }
+        plan.flows.push_back(p);
+        plan.anyRemote = plan.anyRemote || p.remote;
+    }
+}
+
+#ifndef NDEBUG
+void
+MemSystem::verifyPlan() const
+{
+    FlowPlan fresh;
+    buildPlan(fresh);
+    // The reused index spans the largest id ever seen. Every id
+    // outside the plan must read -1 there, or grant() would serve a
+    // stale row.
+    fresh.slotOf.resize(std::max(fresh.slotOf.size(), plan_.slotOf.size()),
+                        -1);
+    KELP_INVARIANT(fresh == plan_,
+                   "reused flow plan drifted from a fresh build of ",
+                   numFlows_, " flows");
+}
+#endif
+
+int
+MemSystem::slotOf(int requestor) const
+{
+    const auto id = static_cast<size_t>(requestor);
+    if (requestor < 0 || id >= plan_.slotOf.size())
+        return -1;
+    return plan_.slotOf[id];
+}
+
+void
 MemSystem::resolve(sim::Time dt)
 {
-    const bool hit = cacheEnabled_ && cacheValid_ && !flowsDirty_ &&
-                     flows_.size() == prevFlows_.size() &&
-                     dt == prevDt_;
+    // Reuse needs the previous tick's shape under the same
+    // configuration; SNC, arbitration, and cache-enable changes clear
+    // cacheValid_.
+    const bool reuse = cacheEnabled_ && cacheValid_ && !shapeChanged_ &&
+                       numFlows_ == prevNumFlows_;
+    const bool hit = reuse && !demandChanged_ && dt == prevDt_;
+    if (reuse) {
+#ifndef NDEBUG
+        verifyPlan();
+#endif
+    } else {
+        buildPlan(plan_);
+    }
     if (hit) {
         ++cacheHits_;
 #ifndef NDEBUG
         // Debug builds pay for a full recompute on every hit and
         // prove the cache would have returned exactly that.
-        const auto cached = grants_;
+        const std::vector<int> ids = plan_.requestors;
+        const std::vector<Merged> cached = merged_;
         resolveFull(dt);
-        KELP_INVARIANT(grants_.ids() == cached.ids(),
+        KELP_INVARIANT(plan_.requestors == ids &&
+                           merged_.size() == cached.size(),
                        "resolve cache drifted: requestor set changed");
-        for (int req : grants_.ids()) {
-            const Grant &g = grants_.find(req)->grant;
-            const Grant &c = cached.find(req)->grant;
+        for (size_t i = 0; i < merged_.size(); ++i) {
+            const Grant &g = merged_[i].grant;
+            const Grant &c = cached[i].grant;
             KELP_INVARIANT(c.delivered == g.delivered &&
                                c.fraction == g.fraction &&
                                c.latency == g.latency,
-                           "resolve cache drifted for requestor ", req);
+                           "resolve cache drifted for requestor ",
+                           ids[i]);
         }
 #else
         resolveCached(dt);
@@ -167,7 +260,7 @@ void
 MemSystem::resolveCached(sim::Time dt)
 {
     // Demand registered with the controllers and the link is exactly
-    // last tick's; grants_ and all instantaneous state are already
+    // last tick's; merged_ and all instantaneous state are already
     // correct. Only the socket integrals and the (stateful)
     // backpressure duty cycle advance.
     updateBackpressure(dt, 1);
@@ -177,83 +270,82 @@ MemSystem::resolveCached(sim::Time dt)
 void
 MemSystem::resolveFull(sim::Time dt)
 {
-    // 0. Clear demand registered for the previous tick (deferred from
-    //    beginTick so cache hits can reuse it).
-    for (auto &s : sockets_)
-        for (auto &mc : s.mc)
-            mc->beginTick();
-    upi_.beginTick();
-
     // 1. Cross-socket link first: remote flows are capped by the link
     //    before they ever reach the remote controller.
-    for (const auto &f : flows_) {
-        if (f.route.homeSocket != f.route.reqSocket)
-            upi_.addDemand(f.demand);
-    }
-    upi_.resolve();
-
-    // 2. Route flows to controllers. Remote flows hold the home
-    //    controller longer than their data volume implies.
-    for (const auto &f : flows_) {
-        bool remote = f.route.homeSocket != f.route.reqSocket;
-        sim::Nanoseconds extra = remote ? upi_.remoteLatency() : 0.0;
-        sim::GiBps demand = remote ?
-            f.demand * upi_.grantFraction() * cfg_.remoteMcOverhead :
-            f.demand;
-        auto &home = sockets_[f.route.homeSocket];
-        if (sncEnabled_) {
-            home.mc[f.route.homeSub]->addDemand(
-                f.requestor, demand, f.highPriority, extra);
-        } else {
-            // Channel interleaving spreads the flow across both
-            // controllers evenly.
-            home.mc[0]->addDemand(f.requestor, demand / 2.0,
-                                  f.highPriority, extra);
-            home.mc[1]->addDemand(f.requestor, demand / 2.0,
-                                  f.highPriority, extra);
+    upi_.beginTick();
+    if (plan_.anyRemote) {
+        for (size_t i = 0; i < numFlows_; ++i) {
+            if (plan_.flows[i].remote)
+                upi_.addDemand(flows_[i].demand);
         }
     }
-    for (auto &s : sockets_)
-        for (auto &mc : s.mc)
-            mc->resolve();
+    upi_.resolve();
+    const double link_frac = upi_.grantFraction();
+    const sim::Nanoseconds hop =
+        plan_.anyRemote ? upi_.remoteLatency() : 0.0;
+
+    // 2. Each controller arbitrates its lane's contributions, in flow
+    //    order. Remote flows hold the home controller longer than
+    //    their data volume implies.
+    for (size_t c = 0; c < mcs_.size(); ++c) {
+        contribs_.clear();
+        for (int i : plan_.lanes[c]) {
+            const PlannedFlow &p = plan_.flows[static_cast<size_t>(i)];
+            const sim::GiBps flow_demand =
+                flows_[static_cast<size_t>(i)].demand;
+            sim::GiBps demand = p.remote ?
+                flow_demand * link_frac * cfg_.remoteMcOverhead :
+                flow_demand;
+            // Channel interleaving spreads the flow across both
+            // controllers evenly.
+            if (!sncEnabled_)
+                demand = demand / 2.0;
+            contribs_.push_back(
+                {p.mergeSlot[c - static_cast<size_t>(p.mc)], demand,
+                 p.highPriority, p.remote ? hop : 0.0});
+        }
+        mcs_[c].resolve(contribs_, plan_.mergeSlots[c], cacheEnabled_);
+    }
 
     // 3. Distress signals.
     updateBackpressure(dt, 1);
 
-    // 4. Assemble per-requestor grants. The coherence tax from the
-    //    inter-socket link inflates every access's latency.
+    // 4. Assemble per-requestor grants from the merge slots. The
+    //    coherence tax from the inter-socket link inflates every
+    //    access's latency.
     double coh = upi_.coherenceInflation();
-    grants_.clear();
-    for (const auto &f : flows_) {
-        double snc = sncFactor(f.route);
-        bool remote = f.route.homeSocket != f.route.reqSocket;
-        auto &home = sockets_[f.route.homeSocket];
+    merged_.assign(plan_.requestors.size(), Merged{});
+    for (size_t i = 0; i < numFlows_; ++i) {
+        const Flow &f = flows_[i];
+        const PlannedFlow &p = plan_.flows[i];
+        const Controller &mc = mcs_[static_cast<size_t>(p.mc)];
         double delivered = 0.0;
         double lat = 0.0;
         if (sncEnabled_) {
-            Grant g = home.mc[f.route.homeSub]->grant(f.requestor);
+            Grant g = mc.grant(p.mergeSlot[0]);
             // The controller merges same-requestor flows, so recover
             // this flow's share by its demand fraction.
             delivered = f.demand *
-                (remote ? upi_.grantFraction() : 1.0) * g.fraction;
+                (p.remote ? link_frac : 1.0) * g.fraction;
             lat = g.latency;
         } else {
-            Grant g0 = home.mc[0]->grant(f.requestor);
-            Grant g1 = home.mc[1]->grant(f.requestor);
-            double eff =
-                f.demand * (remote ? upi_.grantFraction() : 1.0);
+            Grant g0 = mc.grant(p.mergeSlot[0]);
+            Grant g1 = mcs_[static_cast<size_t>(p.mc) + 1].grant(
+                p.mergeSlot[1]);
+            double eff = f.demand * (p.remote ? link_frac : 1.0);
             delivered = eff / 2.0 * g0.fraction +
                         eff / 2.0 * g1.fraction;
             lat = (g0.latency + g1.latency) / 2.0;
         }
-        lat = lat * snc * coh;
-        Merged &m = grants_[f.requestor];
+        lat = lat * p.sncFactor * coh;
+        Merged &m = merged_[static_cast<size_t>(p.slot)];
         m.delivered += delivered;
         m.demand += f.demand;
         m.latW += lat * std::max(delivered, 1e-12);
     }
-    for (int req : grants_.ids()) {
-        Merged &m = grants_[req];
+    for (size_t slot = 0; slot < merged_.size(); ++slot) {
+        Merged &m = merged_[slot];
+        const int req = plan_.requestors[slot];
         Grant &g = m.grant;
         g.delivered = m.delivered;
         g.fraction = m.demand > 0.0 ?
@@ -286,11 +378,11 @@ MemSystem::updateBackpressure(sim::Time dt, uint64_t n)
     // avoid congesting the interconnection network" (Section IV-B),
     // so a saturated link distresses the cores on both attached
     // sockets.
-    for (auto &s : sockets_) {
-        double max_util = std::max({s.mc[0]->utilization(),
-                                    s.mc[1]->utilization(),
+    for (size_t s = 0; s < sockets_.size(); ++s) {
+        double max_util = std::max({mcs_[2 * s].utilization(),
+                                    mcs_[2 * s + 1].utilization(),
                                     upi_.congestionUtilization()});
-        s.backpressure->update(max_util, dt, n);
+        sockets_[s].backpressure->update(max_util, dt, n);
     }
 }
 
@@ -298,38 +390,53 @@ void
 MemSystem::accumulateSocketCounters(sim::Time dt, uint64_t n)
 {
     double coh = upi_.coherenceInflation();
-    for (auto &s : sockets_) {
-        double bw0 = s.mc[0]->totalDelivered();
-        double bw1 = s.mc[1]->totalDelivered();
+    for (size_t si = 0; si < sockets_.size(); ++si) {
+        SocketCounters &counters = sockets_[si].counters;
+        const Controller &mc0 = mcs_[2 * si];
+        const Controller &mc1 = mcs_[2 * si + 1];
+        double bw0 = mc0.totalDelivered();
+        double bw1 = mc1.totalDelivered();
         KELP_INVARIANT(bw0 >= 0.0 && bw1 >= 0.0,
                        "memory controller delivered negative "
                        "bandwidth");
-        KELP_INVARIANT(s.mc[0]->latency() >= 0.0 &&
-                           s.mc[1]->latency() >= 0.0,
+        KELP_INVARIANT(mc0.latency() >= 0.0 && mc1.latency() >= 0.0,
                        "memory controller reported negative latency");
-        s.counters.bw.accumulateRepeat(bw0 + bw1, dt, n);
-        s.counters.subdomainBw[0].accumulateRepeat(bw0, dt, n);
-        s.counters.subdomainBw[1].accumulateRepeat(bw1, dt, n);
-        s.counters.subdomainLat[0].accumulateRepeat(
-            s.mc[0]->latency() * coh, dt, n);
-        s.counters.subdomainLat[1].accumulateRepeat(
-            s.mc[1]->latency() * coh, dt, n);
+        counters.bw.accumulateRepeat(bw0 + bw1, dt, n);
+        counters.subdomainBw[0].accumulateRepeat(bw0, dt, n);
+        counters.subdomainBw[1].accumulateRepeat(bw1, dt, n);
+        counters.subdomainLat[0].accumulateRepeat(mc0.latency() * coh,
+                                                  dt, n);
+        counters.subdomainLat[1].accumulateRepeat(mc1.latency() * coh,
+                                                  dt, n);
         double lat;
         if (bw0 + bw1 > 0.0) {
-            lat = (s.mc[0]->latency() * bw0 + s.mc[1]->latency() * bw1) /
+            lat = (mc0.latency() * bw0 + mc1.latency() * bw1) /
                   (bw0 + bw1);
         } else {
             lat = cfg_.socket.baseLatency;
         }
-        s.counters.latency.accumulateRepeat(lat * coh, dt, n);
+        counters.latency.accumulateRepeat(lat * coh, dt, n);
     }
 }
 
 Grant
 MemSystem::grant(int requestor) const
 {
-    const Merged *m = grants_.find(requestor);
-    return m ? m->grant : Grant{0.0, 1.0, cfg_.socket.baseLatency};
+    const int slot = slotOf(requestor);
+    return slot >= 0 ? merged_[static_cast<size_t>(slot)].grant :
+                       Grant{0.0, 1.0, cfg_.socket.baseLatency};
+}
+
+Grant
+MemSystem::controllerGrant(sim::SocketId s, sim::SubdomainId d,
+                           int requestor) const
+{
+    const Controller &mc = controller(s, d);
+    const int slot = slotOf(requestor);
+    if (slot < 0)
+        return mc.grant(-1);
+    const auto index = static_cast<size_t>(s) * 2 + static_cast<size_t>(d);
+    return mc.grant(plan_.mergeSlotOf[mergeIndex(slot, index)]);
 }
 
 double
@@ -351,7 +458,7 @@ MemSystem::controller(sim::SocketId s, sim::SubdomainId d) const
 {
     KELP_ASSERT(s >= 0 && s < numSockets() && (d == 0 || d == 1),
                 "controller index out of range");
-    return *sockets_[s].mc[d];
+    return mcs_[static_cast<size_t>(s) * 2 + static_cast<size_t>(d)];
 }
 
 const SocketCounters &

@@ -14,6 +14,13 @@
  *
  * Per tick the node submits flows, calls resolve(), and reads grants,
  * throttles, and counters back.
+ *
+ * A full resolve streams the tick's demands through a flow plan: the
+ * flow set's shape (count, and per flow the requestor, route, and
+ * priority bit) compiled into per-flow targets, merge slots, SNC
+ * latency factors, and remote flags, plus each controller's lane of
+ * flows in flow order. The plan is rebuilt only when the shape
+ * changes; demand alone moving between ticks reuses it.
  */
 
 #ifndef KELP_MEM_MEM_SYSTEM_HH
@@ -27,7 +34,6 @@
 
 #include "mem/backpressure.hh"
 #include "mem/controller.hh"
-#include "mem/requestor_table.hh"
 #include "mem/upi.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
@@ -130,10 +136,11 @@ class MemSystem
     void beginTick();
 
     /**
-     * Submit one flow's bandwidth demand for this tick.
+     * Submit one flow's bandwidth demand for this tick. A demand <= 0
+     * submits nothing.
      *
-     * @param requestor Task identifier (>= 0; grants are kept in a
-     *        table indexed by it).
+     * @param requestor Task identifier (>= 0; grants are found through
+     *        a dense index by it).
      * @param route Requesting/home placement of the flow; sockets
      *        must exist and subdomains must be 0 or 1.
      * @param demand Requested bandwidth, GiB/s.
@@ -146,8 +153,15 @@ class MemSystem
     /** Resolve all flows for a tick of length dt. */
     void resolve(sim::Time dt);
 
-    /** Aggregated grant for a requestor across all its flows. */
+    /** Aggregated grant for a requestor across all its flows;
+     * {0, 1, baseLatency()} when it submitted none. */
     Grant grant(int requestor) const;
+
+    /** A requestor's grant at controller (s, d) from the last full
+     * resolve (testing/inspection); {0, 1, that controller's
+     * latency()} when none of its flows contributed there. */
+    Grant controllerGrant(sim::SocketId s, sim::SubdomainId d,
+                          int requestor) const;
 
     /**
      * Core issue-rate multiplier for a socket, reflecting the last
@@ -177,13 +191,18 @@ class MemSystem
     const MemSystemConfig &config() const { return cfg_; }
 
     /**
-     * Resolve caching: when a tick's submitted flows are identical to
-     * the previous tick's (same requestors, routes, demands, priority
-     * bits, in the same order -- the common case, since task demand
-     * only moves on phase or knob changes), resolve() reuses the
-     * previous grants and only advances the time-integrated counters.
-     * Debug builds re-run the full computation on every hit and
-     * KELP_INVARIANT the cached grants against it.
+     * Reuse across ticks. Resolve caching: when a tick's submitted
+     * flows are identical to the previous tick's (same requestors,
+     * routes, demands, priority bits, in the same order -- the common
+     * case, since task demand only moves on phase or knob changes),
+     * resolve() reuses the previous grants and only advances the
+     * time-integrated counters. A tick whose flows keep the previous
+     * shape but move demand reuses the flow plan, and each controller
+     * whose contributions repeat skips arbitration. Disabling turns
+     * off all three: every resolve rebuilds the plan and arbitrates
+     * every controller. Debug builds re-run the full computation on
+     * every hit, rebuild a fresh plan on every plan reuse, and
+     * KELP_INVARIANT the reused results against them.
      */
     void setResolveCacheEnabled(bool enabled)
     {
@@ -200,7 +219,7 @@ class MemSystem
      * this. */
     bool lastResolveHit() const { return lastHit_; }
 
-    /** Controller-level arbitration-skip counters, summed. */
+    /** Controller arbitration skips and arbitrations, summed. */
     uint64_t mcCacheHits() const;
     uint64_t mcCacheMisses() const;
 
@@ -232,14 +251,69 @@ class MemSystem
 
     struct Flow
     {
-        int requestor;
+        int requestor = 0;
         Route route;
-        sim::GiBps demand;
-        bool highPriority;
+        sim::GiBps demand = 0.0;
+        bool highPriority = false;
     };
 
-    /** One requestor's row of the last full resolve: its flows'
-     * merge accumulators and the grant assembled from them. */
+    /** One flow's compiled shape: everything resolveFull() needs
+     * besides its demand. */
+    struct PlannedFlow
+    {
+        /** Dense slot of the requestor, in first-appearance order. */
+        int slot = 0;
+
+        /** Target controller index (socket * 2 + subdomain). Without
+         * subdomains the flow interleaves over mc and mc + 1. */
+        int mc = 0;
+
+        /** The requestor's merge slot at each target controller. */
+        std::array<int, 2> mergeSlot = {-1, -1};
+
+        /** SNC locality latency factor. */
+        double sncFactor = 1.0;
+
+        bool remote = false;
+        bool highPriority = false;
+
+        bool operator==(const PlannedFlow &) const = default;
+    };
+
+    /** The flow plan. Rebuilt in place, so a rebuild reuses every
+     * vector's storage. */
+    struct FlowPlan
+    {
+        /** Per flow, in submission order. */
+        std::vector<PlannedFlow> flows;
+
+        /** Requestor id of each slot, in first-appearance order. */
+        std::vector<int> requestors;
+
+        /** Requestor id -> slot, -1 for ids not in the plan. */
+        std::vector<int> slotOf;
+
+        /** Per controller index: the flows routed there, in flow
+         * order. */
+        std::vector<std::vector<int>> lanes;
+
+        /** Per controller index: its number of merge slots. */
+        std::vector<int> mergeSlots;
+
+        /** (requestor slot, controller index) -> merge slot, -1 when
+         * none of the requestor's flows targets that controller;
+         * row-major by requestor slot. A controller numbers its merge
+         * slots in the order its lane first meets each requestor, so
+         * an unchanged lane keeps its numbering across a rebuild. */
+        std::vector<int> mergeSlotOf;
+
+        bool anyRemote = false;
+
+        bool operator==(const FlowPlan &) const = default;
+    };
+
+    /** One requestor's merge accumulators of the last full resolve
+     * and the grant assembled from them. */
     struct Merged
     {
         sim::GiBps delivered = 0.0;
@@ -250,7 +324,6 @@ class MemSystem
 
     struct SocketState
     {
-        std::array<std::unique_ptr<Controller>, 2> mc;
         std::unique_ptr<BackpressureUnit> backpressure;
         SocketCounters counters;
     };
@@ -258,8 +331,26 @@ class MemSystem
     /** Latency factor from SNC locality for a flow. */
     double sncFactor(const Route &route) const;
 
-    /** The pre-cache resolve pipeline (always correct, never reuses
-     * state). Clears and re-registers controller/link demand. */
+    /** Compile this tick's flows into @p plan, reusing its storage. */
+    void buildPlan(FlowPlan &plan) const;
+
+#ifndef NDEBUG
+    /** Check that the reused plan equals a freshly built one. */
+    void verifyPlan() const;
+#endif
+
+    /** Slot of a requestor in the plan, -1 when absent. */
+    int slotOf(int requestor) const;
+
+    /** Index of (requestor slot, controller index) in
+     * FlowPlan::mergeSlotOf. */
+    size_t
+    mergeIndex(int slot, size_t mc) const
+    {
+        return static_cast<size_t>(slot) * mcs_.size() + mc;
+    }
+
+    /** The full resolve pipeline through the current plan. */
     void resolveFull(sim::Time dt);
 
     /** Counter-only advance for a tick identical to the last one. */
@@ -274,15 +365,31 @@ class MemSystem
     MemSystemConfig cfg_;
     bool sncEnabled_ = false;
     std::vector<SocketState> sockets_;
-    UpiLink upi_;
-    std::vector<Flow> flows_;
-    RequestorTable<Merged> grants_;
 
-    /** Resolve-cache state (see setResolveCacheEnabled). */
-    std::vector<Flow> prevFlows_;
+    /** Memory controllers by index socket * 2 + subdomain. */
+    std::vector<Controller> mcs_;
+    UpiLink upi_;
+
+    /** This tick's flows in positions [0, numFlows_). Written in
+     * place over the previous tick's, which addFlow() compares
+     * against position by position. */
+    std::vector<Flow> flows_;
+    size_t numFlows_ = 0;
+    size_t prevNumFlows_ = 0;
+    bool shapeChanged_ = false;
+    bool demandChanged_ = false;
+
+    FlowPlan plan_;
+
+    /** Per requestor slot of plan_. */
+    std::vector<Merged> merged_;
+
+    /** One controller's contribution list, reused for each. */
+    std::vector<Contribution> contribs_;
+
+    /** Reuse state (see setResolveCacheEnabled). */
     bool cacheEnabled_ = true;
     bool cacheValid_ = false;
-    bool flowsDirty_ = false;
     sim::Time prevDt_ = -1.0;
     uint64_t cacheHits_ = 0;
     uint64_t cacheMisses_ = 0;

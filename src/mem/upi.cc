@@ -30,18 +30,16 @@ UpiLink::addDemand(sim::GiBps demand)
     demand_ += demand;
 }
 
-double
-UpiLink::congestionUtilization() const
-{
-    return std::min(demand_ / (0.8 * capacity_), 1.0);
-}
-
 void
 UpiLink::resolve()
 {
     utilization_ = std::min(demand_ / capacity_, 1.0);
     grantFraction_ =
         demand_ <= capacity_ ? 1.0 : capacity_ / demand_;
+    congestion_ = std::min(demand_ / (0.8 * capacity_), 1.0);
+    // Sub-quadratic ramp: snoop-response slowdown is already felt at
+    // moderate link load, reaching the full tax at saturation.
+    coherence_ = 1.0 + coherenceTax_ * std::pow(congestion_, 1.5);
 }
 
 sim::Nanoseconds
@@ -51,14 +49,6 @@ UpiLink::remoteLatency() const
     double u = std::min(utilization_, 0.99);
     double queue = std::pow(u, 3) / (1.0 - u);
     return hopLatency_ * (1.0 + queue);
-}
-
-double
-UpiLink::coherenceInflation() const
-{
-    // Sub-quadratic ramp: snoop-response slowdown is already felt at
-    // moderate link load, reaching the full tax at saturation.
-    return 1.0 + coherenceTax_ * std::pow(congestionUtilization(), 1.5);
 }
 
 } // namespace mem

@@ -41,19 +41,21 @@ class UpiLink
     /** Register a remote flow's demand for this tick. */
     void addDemand(sim::GiBps demand);
 
-    /** Finalize this tick's utilization and grant fraction. */
+    /** Finalize this tick's utilization, grant fraction, and the
+     * congestion signals derived from them. */
     void resolve();
 
     /** Utilization in [0, 1] from the last resolve(). */
     double utilization() const { return utilization_; }
 
     /**
-     * Congestion-effective utilization: protocol and credit overheads
-     * congest the link below its nominal data bandwidth, so queueing
-     * effects (distress, coherence tax) key off demand relative to
-     * ~80% of nominal capacity.
+     * Congestion-effective utilization from the last resolve():
+     * protocol and credit overheads congest the link below its
+     * nominal data bandwidth, so queueing effects (distress,
+     * coherence tax) key off demand relative to ~80% of nominal
+     * capacity.
      */
-    double congestionUtilization() const;
+    double congestionUtilization() const { return congestion_; }
 
     /** Fraction of demanded link bandwidth actually granted. */
     double grantFraction() const { return grantFraction_; }
@@ -63,9 +65,10 @@ class UpiLink
 
     /**
      * Multiplier (>= 1) applied to the latency of *all* memory
-     * accesses on the attached sockets: the coherence tax.
+     * accesses on the attached sockets: the coherence tax, from the
+     * last resolve().
      */
-    double coherenceInflation() const;
+    double coherenceInflation() const { return coherence_; }
 
     sim::GiBps capacity() const { return capacity_; }
 
@@ -77,6 +80,8 @@ class UpiLink
     sim::GiBps demand_ = 0.0;
     double utilization_ = 0.0;
     double grantFraction_ = 1.0;
+    double congestion_ = 0.0;
+    double coherence_ = 1.0;
 };
 
 } // namespace mem

@@ -189,36 +189,6 @@ IntervalAccumulator::flush() const
     pendingN_ = 0;
 }
 
-void
-IntervalAccumulator::accumulate(double x, double dt)
-{
-    KELP_ASSERT(dt >= 0.0, "negative accumulation interval");
-    if (pendingN_ != 0 && x == pendingX_ && dt == pendingDt_) {
-        ++pendingN_;
-        return;
-    }
-    flush();
-    pendingX_ = x;
-    pendingDt_ = dt;
-    pendingN_ = 1;
-}
-
-void
-IntervalAccumulator::accumulateRepeat(double x, double dt, uint64_t n)
-{
-    KELP_ASSERT(dt >= 0.0, "negative accumulation interval");
-    if (n == 0)
-        return;
-    if (pendingN_ != 0 && x == pendingX_ && dt == pendingDt_) {
-        pendingN_ += n;
-        return;
-    }
-    flush();
-    pendingX_ = x;
-    pendingDt_ = dt;
-    pendingN_ = n;
-}
-
 double
 IntervalAccumulator::readSince(Snapshot &snap, double fallback) const
 {

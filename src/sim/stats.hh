@@ -19,6 +19,8 @@
 #include <limits>
 #include <vector>
 
+#include "sim/log.hh"
+
 namespace kelp {
 namespace sim {
 
@@ -183,7 +185,7 @@ class IntervalAccumulator
     };
 
     /** Add x (a rate or level) held for duration dt. */
-    void accumulate(double x, double dt);
+    void accumulate(double x, double dt) { accumulateRepeat(x, dt, 1); }
 
     /**
      * Accumulate the same (x, dt) pair n times. Identical to calling
@@ -191,7 +193,21 @@ class IntervalAccumulator
      * into one pending run either way, so the engine's fast-forward
      * paths and the stepped path fold counters bit-for-bit the same.
      */
-    void accumulateRepeat(double x, double dt, uint64_t n);
+    void
+    accumulateRepeat(double x, double dt, uint64_t n)
+    {
+        KELP_ASSERT(dt >= 0.0, "negative accumulation interval");
+        if (n == 0)
+            return;
+        if (pendingN_ != 0 && x == pendingX_ && dt == pendingDt_) {
+            pendingN_ += n;
+            return;
+        }
+        flush();
+        pendingX_ = x;
+        pendingDt_ = dt;
+        pendingN_ = n;
+    }
 
     /** Total integral since construction. */
     double integral() const

@@ -18,6 +18,7 @@ MlInferTask::MlInferTask(std::string name, sim::GroupId group,
     for (const auto &stage : cfg_.iteration.stages)
         KELP_ASSERT(stage.segments.size() == 1,
                     "inference stages must have one segment each");
+    stageSpeeds_.resize(cfg_.iteration.stages.size());
     KELP_ASSERT(cfg_.itersPerRequest >= 1, "need >= 1 iteration");
     KELP_ASSERT(cfg_.pipelineDepth >= 1, "need pipeline depth >= 1");
     if (cfg_.serial) {
@@ -199,6 +200,7 @@ MlInferTask::advance(sim::Time dt, const ExecEnv &env)
     sim::Time accel_busy = 0.0;
     sim::Time link_busy = 0.0;
     double last_host_speed = -1.0;
+    ++advances_;
 
     // Event loop within the tick: advance to the next segment
     // completion or arrival, whichever is first.
@@ -243,8 +245,13 @@ MlInferTask::advance(sim::Time dt, const ExecEnv &env)
                     share, static_cast<double>(seg.host.parallelism));
                 double core_scale =
                     cores_each / seg.host.parallelism;
-                HostSpeeds sp =
-                    hostSpeeds(seg.host, env, demandBasis());
+                StageSpeeds &stage = stageSpeeds_[inFlight_[i].stage];
+                if (stage.call != advances_) {
+                    stage.speeds =
+                        hostSpeeds(seg.host, env, demandBasis());
+                    stage.call = advances_;
+                }
+                const HostSpeeds &sp = stage.speeds;
                 speed[i] = std::max(sp.speed * core_scale, 1e-6);
                 last_host_speed = sp.demandSpeed;
                 break;

@@ -173,6 +173,18 @@ class MlInferTask : public Task
     /** Per-request speeds of one event step in advance(); a member
      * only so its capacity is reused across steps. */
     std::vector<double> speed_;
+
+    /** hostSpeeds() of each stage's host segment, computed at most
+     * once per advance(): none of its inputs moves inside one call.
+     * Valid while call equals advances_. */
+    struct StageSpeeds
+    {
+        HostSpeeds speeds;
+        uint64_t call = 0;
+    };
+    std::vector<StageSpeeds> stageSpeeds_;
+    uint64_t advances_ = 0;
+
     uint64_t completed_ = 0;
     sim::LatencyHistogram latency_;
     std::function<void(const TraceEvent &)> traceSink_;

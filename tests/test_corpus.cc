@@ -82,6 +82,7 @@ TEST(Corpus, ReplayIsDeterministic)
     OracleConfig ocfg;
     ocfg.twinRun = false;
     ocfg.doubleRun = false;
+    ocfg.referenceRun = false;
     for (const auto &[name, entry] : corpus()) {
         TrialOutcome a = runTrial(entry.spec, ocfg);
         TrialOutcome b = runTrial(entry.spec, ocfg);

@@ -15,7 +15,6 @@
 #include <gtest/gtest.h>
 
 #include "exp/scenario.hh"
-#include "mem/controller.hh"
 #include "mem/mem_system.hh"
 #include "sim/engine.hh"
 #include "workload/batch_task.hh"
@@ -153,54 +152,90 @@ TEST(EngineFastForward, TimeAdvanceMatchesSteppedEngine)
 }
 
 // ---------------------------------------------------------------------
-// Controller incremental demand cache.
+// Controller arbitration skip, driven through MemSystem: the skip
+// counters are per controller, and a cache-off twin arbitrates every
+// tick as the reference.
+
+namespace {
+
+mem::MemSystemConfig
+skipConfig()
+{
+    mem::MemSystemConfig cfg;
+    cfg.socket.peakBw = 200.0;  // 100 GiB/s per controller
+    return cfg;
+}
+
+} // namespace
 
 TEST(ControllerCache, RepeatedDemandsHitAndMatch)
 {
-    mem::Controller inc(0, 0, 100.0, mem::LatencyCurve());
-    mem::Controller ref(0, 0, 100.0, mem::LatencyCurve());
+    mem::MemSystem inc(skipConfig());
+    mem::MemSystem ref(skipConfig());
+    ref.setResolveCacheEnabled(false);
+    inc.setSncEnabled(true);
+    ref.setSncEnabled(true);
 
+    const sim::Time dt = 100 * sim::usec;
     for (int t = 0; t < 50; ++t) {
-        // Demands repeat except for a mutation at tick 25.
+        // Controller (0, 0)'s contributions repeat except for a
+        // mutation at tick 25: requestor 1 at high priority, and
+        // requestor 2 remote (60 GiB/s at the home controller after
+        // the remote overhead, plus the link's hop latency). Requestor
+        // 3 moves every tick on controller (0, 1), so the memory
+        // system resolves in full every tick and only the
+        // arbitration skip can spare controller (0, 0).
         double d0 = t >= 25 ? 30.0 : 40.0;
-        inc.beginTick();
-        inc.addDemand(1, d0, true, 0.0);
-        inc.addDemand(2, 60.0, false, 10.0);
-        inc.resolve();
+        for (mem::MemSystem *m : {&inc, &ref}) {
+            m->beginTick();
+            m->addFlow(1, {0, 0, 0, 0}, d0, true);
+            m->addFlow(2, {1, 0, 0, 0}, 40.0, false);
+            m->addFlow(3, {0, 1, 0, 1}, 10.0 + t, false);
+            m->resolve(dt);
+        }
 
-        ref.beginTick();
-        ref.addDemand(1, d0, true, 0.0);
-        ref.addDemand(2, 60.0, false, 10.0);
-        ref.resolve();
-
-        for (int r = 1; r <= 2; ++r) {
+        for (int r = 1; r <= 3; ++r) {
             mem::Grant a = inc.grant(r);
             mem::Grant b = ref.grant(r);
             EXPECT_EQ(a.delivered, b.delivered);
             EXPECT_EQ(a.fraction, b.fraction);
             EXPECT_EQ(a.latency, b.latency);
         }
+        EXPECT_GT(inc.controllerGrant(0, 0, 2).latency,
+                  inc.controller(0, 0).latency());
     }
-    // Both controllers are caching (same class); the point here is
-    // the hit pattern: two misses (first tick, tick-25 mutation),
-    // everything else hits.
-    EXPECT_EQ(inc.cacheMisses(), 2u);
-    EXPECT_EQ(inc.cacheHits(), 48u);
+    EXPECT_EQ(inc.resolveCacheHits(), 0u);
+    // The hit pattern: two arbitrations (first tick, tick-25
+    // mutation), every other tick skips. The twin never skips.
+    EXPECT_EQ(inc.controller(0, 0).cacheMisses(), 2u);
+    EXPECT_EQ(inc.controller(0, 0).cacheHits(), 48u);
+    EXPECT_EQ(ref.controller(0, 0).cacheMisses(), 50u);
+    EXPECT_EQ(ref.controller(0, 0).cacheHits(), 0u);
 }
 
 TEST(ControllerCache, ReorderedDemandsMiss)
 {
-    mem::Controller mc(0, 0, 100.0, mem::LatencyCurve());
-    mc.beginTick();
-    mc.addDemand(1, 40.0, false, 0.0);
-    mc.addDemand(2, 60.0, false, 0.0);
-    mc.resolve();
-    mc.beginTick();
-    mc.addDemand(2, 60.0, false, 0.0);
-    mc.addDemand(1, 40.0, false, 0.0);
-    mc.resolve();
-    EXPECT_EQ(mc.cacheHits(), 0u);
-    EXPECT_EQ(mc.cacheMisses(), 2u);
+    mem::MemSystem mem(skipConfig());
+    mem::MemSystem ref(skipConfig());
+    ref.setResolveCacheEnabled(false);
+    const sim::Time dt = 100 * sim::usec;
+    for (mem::MemSystem *m : {&mem, &ref}) {
+        m->setSncEnabled(true);
+        m->beginTick();
+        m->addFlow(1, {0, 0, 0, 0}, 40.0);
+        m->addFlow(2, {0, 0, 0, 0}, 60.0);
+        m->resolve(dt);
+        m->beginTick();
+        m->addFlow(2, {0, 0, 0, 0}, 60.0);
+        m->addFlow(1, {0, 0, 0, 0}, 40.0);
+        m->resolve(dt);
+    }
+    EXPECT_EQ(mem.controller(0, 0).cacheHits(), 0u);
+    EXPECT_EQ(mem.controller(0, 0).cacheMisses(), 2u);
+    for (int r = 1; r <= 2; ++r) {
+        EXPECT_EQ(mem.grant(r).delivered, ref.grant(r).delivered);
+        EXPECT_EQ(mem.grant(r).latency, ref.grant(r).latency);
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -197,6 +197,7 @@ TEST(FuzzOracle, ResultTextIsStablePerRun)
     OracleConfig ocfg;
     ocfg.doubleRun = false;
     ocfg.twinRun = false;
+    ocfg.referenceRun = false;
     TrialOutcome a = runTrial(quickSpec(), ocfg);
     TrialOutcome b = runTrial(quickSpec(), ocfg);
     EXPECT_EQ(a.resultText, b.resultText);
@@ -224,6 +225,26 @@ TEST(FuzzOracle, KilledRunMatchesTwinWhenFaultFree)
     spec.cfg.kills = {4.0, 7.0};
     OracleConfig ocfg;
     EXPECT_FALSE(oracleFires(spec, "restart-divergence", ocfg));
+}
+
+TEST(FuzzOracle, ReferencePathStaysSilentOverAGeneratedCampaign)
+{
+    // Every optimisation switch is bit-neutral, so no generated spec
+    // may diverge from its rerun on the reference path (full ticks,
+    // no reuse across ticks in the memory system).
+    sim::setContractMode(sim::ContractMode::Count);
+    OracleConfig ocfg;
+    ocfg.twinRun = false;
+    ocfg.doubleRun = false;
+    const std::vector<ScenarioSpec> pool = seedSpecs();
+    for (uint64_t idx = 0; idx < 8; ++idx) {
+        const ScenarioSpec spec = generateSpec(5, idx, pool);
+        const TrialOutcome out = runTrial(spec, ocfg);
+        for (const OracleHit &hit : out.hits) {
+            EXPECT_NE(hit.name, "reference-divergence")
+                << hit.detail << "\n" << spec.toString();
+        }
+    }
 }
 
 TEST(FuzzOracle, UnknownOracleNameIsFatal)

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "mem/backpressure.hh"
 #include "mem/controller.hh"
@@ -80,16 +81,16 @@ makeController(sim::GiBps capacity = 50.0)
 
 } // namespace
 
+// Controller tests drive the arbitration routine directly: requestor
+// 1 lands in merge slot 0 and requestor 2 in slot 1.
+
 TEST(Controller, UnderSubscribedFullGrant)
 {
     Controller mc = makeController();
-    mc.beginTick();
-    mc.addDemand(1, 10.0, false, 0.0);
-    mc.addDemand(2, 20.0, false, 0.0);
-    mc.resolve();
-    EXPECT_DOUBLE_EQ(mc.grant(1).fraction, 1.0);
-    EXPECT_DOUBLE_EQ(mc.grant(1).delivered, 10.0);
-    EXPECT_DOUBLE_EQ(mc.grant(2).delivered, 20.0);
+    mc.resolve({{0, 10.0, false, 0.0}, {1, 20.0, false, 0.0}}, 2, true);
+    EXPECT_DOUBLE_EQ(mc.grant(0).fraction, 1.0);
+    EXPECT_DOUBLE_EQ(mc.grant(0).delivered, 10.0);
+    EXPECT_DOUBLE_EQ(mc.grant(1).delivered, 20.0);
     EXPECT_DOUBLE_EQ(mc.totalDelivered(), 30.0);
     EXPECT_NEAR(mc.utilization(), 0.6, 1e-9);
 }
@@ -97,13 +98,10 @@ TEST(Controller, UnderSubscribedFullGrant)
 TEST(Controller, OversubscribedProportionalShare)
 {
     Controller mc = makeController(50.0);
-    mc.beginTick();
-    mc.addDemand(1, 60.0, false, 0.0);
-    mc.addDemand(2, 40.0, false, 0.0);
-    mc.resolve();
-    EXPECT_NEAR(mc.grant(1).delivered, 30.0, 1e-9);
-    EXPECT_NEAR(mc.grant(2).delivered, 20.0, 1e-9);
-    EXPECT_NEAR(mc.grant(1).fraction, 0.5, 1e-9);
+    mc.resolve({{0, 60.0, false, 0.0}, {1, 40.0, false, 0.0}}, 2, true);
+    EXPECT_NEAR(mc.grant(0).delivered, 30.0, 1e-9);
+    EXPECT_NEAR(mc.grant(1).delivered, 20.0, 1e-9);
+    EXPECT_NEAR(mc.grant(0).fraction, 0.5, 1e-9);
     EXPECT_NEAR(mc.totalDelivered(), 50.0, 1e-9);
     EXPECT_DOUBLE_EQ(mc.utilization(), 1.0);
 }
@@ -111,13 +109,9 @@ TEST(Controller, OversubscribedProportionalShare)
 TEST(Controller, LatencyGrowsWithLoad)
 {
     Controller mc = makeController(50.0);
-    mc.beginTick();
-    mc.addDemand(1, 10.0, false, 0.0);
-    mc.resolve();
+    mc.resolve({{0, 10.0, false, 0.0}}, 1, true);
     double light = mc.latency();
-    mc.beginTick();
-    mc.addDemand(1, 45.0, false, 0.0);
-    mc.resolve();
+    mc.resolve({{0, 45.0, false, 0.0}}, 1, true);
     double heavy = mc.latency();
     EXPECT_GT(heavy, light);
 }
@@ -125,82 +119,78 @@ TEST(Controller, LatencyGrowsWithLoad)
 TEST(Controller, LatencyExtraAddsToGrant)
 {
     Controller mc = makeController();
-    mc.beginTick();
-    mc.addDemand(1, 10.0, false, 70.0);
-    mc.addDemand(2, 10.0, false, 0.0);
-    mc.resolve();
-    EXPECT_NEAR(mc.grant(1).latency - mc.grant(2).latency, 70.0, 1e-9);
+    mc.resolve({{0, 10.0, false, 70.0}, {1, 10.0, false, 0.0}}, 2, true);
+    EXPECT_NEAR(mc.grant(0).latency - mc.grant(1).latency, 70.0, 1e-9);
 }
 
 TEST(Controller, MergesFlowsOfSameRequestor)
 {
     Controller mc = makeController();
-    mc.beginTick();
-    mc.addDemand(1, 10.0, false, 0.0);
-    mc.addDemand(1, 15.0, false, 0.0);
-    mc.resolve();
-    EXPECT_NEAR(mc.grant(1).delivered, 25.0, 1e-9);
+    mc.resolve({{0, 10.0, false, 0.0}, {0, 15.0, false, 0.0}}, 1, true);
+    EXPECT_NEAR(mc.grant(0).delivered, 25.0, 1e-9);
 }
 
 TEST(Controller, UnknownRequestorGetsNeutralGrant)
 {
+    // A slot outside the list, and one inside it that no contribution
+    // reached, both read the neutral grant at the controller latency.
     Controller mc = makeController();
-    mc.beginTick();
-    mc.resolve();
-    Grant g = mc.grant(99);
-    EXPECT_DOUBLE_EQ(g.delivered, 0.0);
-    EXPECT_DOUBLE_EQ(g.fraction, 1.0);
+    mc.resolve({}, 2, true);
+    for (int slot : {1, 99}) {
+        Grant g = mc.grant(slot);
+        EXPECT_DOUBLE_EQ(g.delivered, 0.0);
+        EXPECT_DOUBLE_EQ(g.fraction, 1.0);
+        EXPECT_EQ(g.latency, mc.latency());
+    }
 }
 
 TEST(Controller, ZeroDemandIgnored)
 {
     Controller mc = makeController();
-    mc.beginTick();
-    mc.addDemand(1, 0.0, false, 0.0);
-    mc.resolve();
+    mc.resolve({{0, 0.0, false, 0.0}}, 1, true);
     EXPECT_DOUBLE_EQ(mc.totalDelivered(), 0.0);
+    EXPECT_EQ(mc.grant(0).latency, mc.latency());
 }
 
 TEST(Controller, NegativeDemandPanics)
 {
     Controller mc = makeController();
-    mc.beginTick();
-    EXPECT_DEATH(mc.addDemand(1, -1.0, false, 0.0), "negative");
+    EXPECT_DEATH(mc.resolve({{0, -1.0, false, 0.0}}, 1, true),
+                 "negative");
 }
 
-TEST(Controller, NegativeRequestorPanics)
+TEST(Controller, MergeSlotOutOfRangePanics)
 {
+    // The controller indexes grants by merge slot; requestor ids are
+    // checked where they enter (MemSystem.NegativeRequestorPanics).
     Controller mc = makeController();
-    mc.beginTick();
-    EXPECT_DEATH(mc.addDemand(-1, 10.0, false, 0.0), "requestor");
+    EXPECT_DEATH(mc.resolve({{-1, 10.0, false, 0.0}}, 1, true), "slot");
+    EXPECT_DEATH(mc.resolve({{1, 10.0, false, 0.0}}, 1, true), "slot");
 }
 
 TEST(Controller, BeginTickClearsState)
 {
+    // Each tick's resolve() starts from its own contribution list.
     Controller mc = makeController();
-    mc.beginTick();
-    mc.addDemand(1, 10.0, false, 0.0);
-    mc.resolve();
-    mc.beginTick();
-    mc.resolve();
+    mc.resolve({{0, 10.0, false, 0.0}}, 1, true);
+    mc.resolve({}, 1, true);
     EXPECT_DOUBLE_EQ(mc.totalDelivered(), 0.0);
-    EXPECT_DOUBLE_EQ(mc.grant(1).delivered, 0.0);
+    EXPECT_DOUBLE_EQ(mc.grant(0).delivered, 0.0);
 }
 
 TEST(Controller, RequestPriorityProtectsHighPriority)
 {
     Controller mc = makeController(50.0);
     mc.setArbitration(Arbitration::RequestPriority);
-    mc.beginTick();
-    mc.addDemand(1, 10.0, true, 0.0);   // high priority
-    mc.addDemand(2, 100.0, false, 0.0); // aggressor
-    mc.resolve();
+    mc.resolve({{0, 10.0, true, 0.0},      // high priority
+                {1, 100.0, false, 0.0}},   // aggressor
+               2, true);
     // High priority gets full bandwidth at near-unloaded latency.
-    EXPECT_NEAR(mc.grant(1).delivered, 10.0, 1e-9);
-    EXPECT_LT(mc.grant(1).latency, 100.0);
+    EXPECT_NEAR(mc.grant(0).delivered, 10.0, 1e-9);
+    EXPECT_LT(mc.grant(0).latency, 100.0);
     // Low priority absorbs all the loss and the queueing latency.
-    EXPECT_NEAR(mc.grant(2).delivered, 40.0, 1e-9);
-    EXPECT_GT(mc.grant(2).latency, mc.grant(1).latency);
+    EXPECT_NEAR(mc.grant(1).delivered, 40.0, 1e-9);
+    EXPECT_GT(mc.grant(1).latency, mc.grant(0).latency);
 }
 
 TEST(Controller, RequestPriorityLowLatencyAtAnyLoad)
@@ -209,25 +199,37 @@ TEST(Controller, RequestPriorityLowLatencyAtAnyLoad)
     // when the controller is busy but not oversubscribed.
     Controller mc = makeController(50.0);
     mc.setArbitration(Arbitration::RequestPriority);
-    mc.beginTick();
-    mc.addDemand(1, 5.0, true, 0.0);
-    mc.addDemand(2, 40.0, false, 0.0);  // 90% load, undersubscribed
-    mc.resolve();
-    EXPECT_DOUBLE_EQ(mc.grant(1).delivered, 5.0);
-    EXPECT_LT(mc.grant(1).latency, mc.grant(2).latency);
-    EXPECT_LT(mc.grant(1).latency, 100.0);
+    mc.resolve({{0, 5.0, true, 0.0},
+                {1, 40.0, false, 0.0}},  // 90% load, undersubscribed
+               2, true);
+    EXPECT_DOUBLE_EQ(mc.grant(0).delivered, 5.0);
+    EXPECT_LT(mc.grant(0).latency, mc.grant(1).latency);
+    EXPECT_LT(mc.grant(0).latency, 100.0);
 }
 
 TEST(Controller, RequestPriorityFairWhenUnderSubscribed)
 {
     Controller mc = makeController(50.0);
     mc.setArbitration(Arbitration::RequestPriority);
-    mc.beginTick();
-    mc.addDemand(1, 10.0, true, 0.0);
-    mc.addDemand(2, 20.0, false, 0.0);
-    mc.resolve();
-    EXPECT_DOUBLE_EQ(mc.grant(1).delivered, 10.0);
-    EXPECT_DOUBLE_EQ(mc.grant(2).delivered, 20.0);
+    mc.resolve({{0, 10.0, true, 0.0}, {1, 20.0, false, 0.0}}, 2, true);
+    EXPECT_DOUBLE_EQ(mc.grant(0).delivered, 10.0);
+    EXPECT_DOUBLE_EQ(mc.grant(1).delivered, 20.0);
+}
+
+TEST(Controller, SkipNeedsTheSameListAndSlotCount)
+{
+    Controller mc = makeController();
+    const std::vector<Contribution> in{{0, 10.0, false, 0.0},
+                                       {1, 20.0, true, 5.0}};
+    mc.resolve(in, 2, true);
+    mc.resolve(in, 2, true);
+    EXPECT_EQ(mc.cacheHits(), 1u);
+    mc.resolve(in, 3, true);          // the plan grew a requestor
+    mc.resolve(in, 3, false);         // reuse switched off
+    mc.setArbitration(Arbitration::Fair);
+    mc.resolve(in, 3, true);          // arbitration (re)selected
+    EXPECT_EQ(mc.cacheHits(), 1u);
+    EXPECT_EQ(mc.cacheMisses(), 4u);
 }
 
 TEST(Controller, ZeroCapacityPanics)
