@@ -8,7 +8,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <map>
+#include <tuple>
+#include <utility>
 
 #include "exp/pool.hh"
 #include "hal/counters.hh"
@@ -45,6 +48,35 @@ configName(ConfigKind kind)
 }
 
 namespace {
+
+/** Converts to any member type, to count RunResult's members. */
+struct AnyMember
+{
+    template <typename T>
+    constexpr operator T() const
+    {
+        return T{};
+    }
+};
+
+/** True when RunResult can be brace-initialized from sizeof...(I)
+ * values. */
+template <size_t... I>
+constexpr bool
+takesInitializers(std::index_sequence<I...>)
+{
+    return requires { RunResult{(static_cast<void>(I), AnyMember{})...}; };
+}
+
+constexpr size_t kFields = std::tuple_size_v<decltype(kResultFields)>;
+
+// Tripwire: RunResult takes exactly as many initializers as the table
+// has entries, so a field added to the struct alone fails here. (A
+// sizeof check would miss an int that fills the padding after
+// sloFinalRung or brownoutFinal.)
+static_assert(takesInitializers(std::make_index_sequence<kFields>{}) &&
+                  !takesInitializers(std::make_index_sequence<kFields + 1>{}),
+              "every RunResult field needs an entry in kResultFields");
 
 /** Dedicated CAT ways for the ML task in a domain of `ways` ways. */
 int

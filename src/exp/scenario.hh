@@ -17,6 +17,7 @@
 
 #include <memory>
 #include <optional>
+#include <tuple>
 #include <vector>
 
 #include "exp/lifecycle.hh"
@@ -250,6 +251,92 @@ struct RunResult
                          static_cast<double>(engineTicks);
     }
 };
+
+/** What a RunResult field reports. */
+enum class FieldKind
+{
+    /** A simulated outcome: equal on every path that runs the same
+     * spec (fast or full ticks, any job count, sinks or none). */
+    Result,
+
+    /** A tick-engine cost counter: equal only between runs that take
+     * the same path. */
+    Counter,
+};
+
+/** One entry of the RunResult field table. */
+template <typename T>
+struct ResultField
+{
+    const char *name; ///< The member's identifier, as text.
+    T RunResult::*member;
+    FieldKind kind;
+};
+
+#define KELP_RESULT_FIELD(member, kind)                                  \
+    ResultField{#member, &RunResult::member, FieldKind::kind}
+
+/**
+ * Every RunResult field, in declaration order: the one list that
+ * canonical result text and identity checks (fuzz::resultText), the
+ * bad-metric oracle and the kelpsim manifest walk. scenario.cc fails
+ * to compile when RunResult has a member this table lacks.
+ */
+inline constexpr std::tuple kResultFields{
+    KELP_RESULT_FIELD(mlPerf, Result),
+    KELP_RESULT_FIELD(mlTailP95, Result),
+    KELP_RESULT_FIELD(cpuThroughput, Result),
+    KELP_RESULT_FIELD(avgLoCores, Result),
+    KELP_RESULT_FIELD(avgLoPrefetchers, Result),
+    KELP_RESULT_FIELD(avgHiBackfill, Result),
+    KELP_RESULT_FIELD(timeInFailSafe, Result),
+    KELP_RESULT_FIELD(failSafeEntries, Result),
+    KELP_RESULT_FIELD(avgSaturation, Result),
+    KELP_RESULT_FIELD(avgSocketBw, Result),
+    KELP_RESULT_FIELD(churnArrivals, Result),
+    KELP_RESULT_FIELD(churnFinishes, Result),
+    KELP_RESULT_FIELD(churnCrashes, Result),
+    KELP_RESULT_FIELD(churnRejected, Result),
+    KELP_RESULT_FIELD(restarts, Result),
+    KELP_RESULT_FIELD(sloViolations, Result),
+    KELP_RESULT_FIELD(sloTransitions, Result),
+    KELP_RESULT_FIELD(sloFinalRung, Result),
+    KELP_RESULT_FIELD(reqArrivals, Result),
+    KELP_RESULT_FIELD(reqAdmitted, Result),
+    KELP_RESULT_FIELD(reqRejected, Result),
+    KELP_RESULT_FIELD(reqShed, Result),
+    KELP_RESULT_FIELD(reqExpired, Result),
+    KELP_RESULT_FIELD(reqCompleted, Result),
+    KELP_RESULT_FIELD(reqInFlight, Result),
+    KELP_RESULT_FIELD(brownoutTransitions, Result),
+    KELP_RESULT_FIELD(brownoutFinal, Result),
+    KELP_RESULT_FIELD(reqP99, Result),
+    KELP_RESULT_FIELD(reqP999, Result),
+    KELP_RESULT_FIELD(reqP9999, Result),
+    KELP_RESULT_FIELD(engineTicks, Counter),
+    KELP_RESULT_FIELD(engineFastTicks, Counter),
+    KELP_RESULT_FIELD(engineFullTicks, Counter),
+    KELP_RESULT_FIELD(periodicFires, Counter),
+    KELP_RESULT_FIELD(demandCalls, Counter),
+    KELP_RESULT_FIELD(advanceCalls, Counter),
+    KELP_RESULT_FIELD(fastTaskTicks, Counter),
+    KELP_RESULT_FIELD(resolveCacheHits, Counter),
+    KELP_RESULT_FIELD(resolveCacheMisses, Counter),
+    KELP_RESULT_FIELD(mcCacheHits, Counter),
+    KELP_RESULT_FIELD(mcCacheMisses, Counter),
+    KELP_RESULT_FIELD(memFastTicks, Counter),
+};
+
+#undef KELP_RESULT_FIELD
+
+/** Call f(field) for every kResultFields entry, in order. */
+template <typename F>
+constexpr void
+forEachField(F &&f)
+{
+    std::apply([&](const auto &...field) { (f(field), ...); },
+               kResultFields);
+}
 
 /**
  * A fully-assembled scenario, exposed so tests and special-purpose

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <set>
 #include <sstream>
+#include <type_traits>
 
 #include "sim/log.hh"
 #include "trace/decision_log.hh"
@@ -56,16 +57,40 @@ execute(const exp::RunConfig &cfg, bool mem_reuse = true)
     return cap;
 }
 
-void
-field(std::ostringstream &os, const char *key, double v)
+/** A field value as resultText prints it. */
+template <typename T>
+std::string
+valueText(T v)
 {
-    os << key << "=" << formatDouble(v) << "\n";
+    if constexpr (std::is_floating_point_v<T>)
+        return formatDouble(v);
+    else
+        return std::to_string(v);
 }
 
-void
-field(std::ostringstream &os, const char *key, uint64_t v)
+/** A NaN, infinite or negative double, or a negative int. */
+template <typename T>
+bool
+badValue(T v)
 {
-    os << key << "=" << v << "\n";
+    if constexpr (std::is_floating_point_v<T>)
+        return !std::isfinite(v) || v < 0.0;
+    else if constexpr (std::is_signed_v<T>)
+        return v < 0;
+    else
+        return false;
+}
+
+std::string
+fieldsText(const exp::RunResult &r, bool counters)
+{
+    std::string out;
+    exp::forEachField([&](const auto &field) {
+        if (field.kind == exp::FieldKind::Result || counters)
+            out += std::string(field.name) + "=" +
+                   valueText(r.*field.member) + "\n";
+    });
+    return out;
 }
 
 /** '+', '-', or '=' for one knob delta. */
@@ -77,43 +102,6 @@ direction(int oldV, int newV)
     if (newV < oldV)
         return '-';
     return '=';
-}
-
-bool
-badDouble(double v)
-{
-    return !std::isfinite(v) || v < 0.0;
-}
-
-/** First summary field that is NaN/inf/negative, or "" if none. */
-std::string
-firstBadMetric(const exp::RunResult &r)
-{
-    const struct
-    {
-        const char *name;
-        double value;
-    } checks[] = {
-        {"mlPerf", r.mlPerf},
-        {"mlTailP95", r.mlTailP95},
-        {"cpuThroughput", r.cpuThroughput},
-        {"avgLoCores", r.avgLoCores},
-        {"avgLoPrefetchers", r.avgLoPrefetchers},
-        {"avgHiBackfill", r.avgHiBackfill},
-        {"timeInFailSafe", r.timeInFailSafe},
-        {"avgSaturation", r.avgSaturation},
-        {"avgSocketBw", r.avgSocketBw},
-        {"reqP99", r.reqP99},
-        {"reqP999", r.reqP999},
-        {"reqP9999", r.reqP9999},
-    };
-    for (const auto &c : checks) {
-        if (badDouble(c.value))
-            return std::string(c.name) + "=" + formatDouble(c.value);
-    }
-    if (r.sloFinalRung < 0)
-        return "sloFinalRung=" + std::to_string(r.sloFinalRung);
-    return "";
 }
 
 /** True when the spec has any controller kill scheduled. */
@@ -174,38 +162,26 @@ oracleNames()
 std::string
 resultText(const exp::RunResult &r)
 {
-    std::ostringstream os;
-    field(os, "mlPerf", r.mlPerf);
-    field(os, "mlTailP95", r.mlTailP95);
-    field(os, "cpuThroughput", r.cpuThroughput);
-    field(os, "avgLoCores", r.avgLoCores);
-    field(os, "avgLoPrefetchers", r.avgLoPrefetchers);
-    field(os, "avgHiBackfill", r.avgHiBackfill);
-    field(os, "timeInFailSafe", r.timeInFailSafe);
-    field(os, "failSafeEntries", r.failSafeEntries);
-    field(os, "avgSaturation", r.avgSaturation);
-    field(os, "avgSocketBw", r.avgSocketBw);
-    field(os, "churnArrivals", r.churnArrivals);
-    field(os, "churnFinishes", r.churnFinishes);
-    field(os, "churnCrashes", r.churnCrashes);
-    field(os, "churnRejected", r.churnRejected);
-    field(os, "restarts", r.restarts);
-    field(os, "sloViolations", r.sloViolations);
-    field(os, "sloTransitions", r.sloTransitions);
-    os << "sloFinalRung=" << r.sloFinalRung << "\n";
-    field(os, "reqArrivals", r.reqArrivals);
-    field(os, "reqAdmitted", r.reqAdmitted);
-    field(os, "reqRejected", r.reqRejected);
-    field(os, "reqShed", r.reqShed);
-    field(os, "reqExpired", r.reqExpired);
-    field(os, "reqCompleted", r.reqCompleted);
-    field(os, "reqInFlight", r.reqInFlight);
-    field(os, "brownoutTransitions", r.brownoutTransitions);
-    os << "brownoutFinal=" << r.brownoutFinal << "\n";
-    field(os, "reqP99", r.reqP99);
-    field(os, "reqP999", r.reqP999);
-    field(os, "reqP9999", r.reqP9999);
-    return os.str();
+    return fieldsText(r, false);
+}
+
+std::string
+resultTextWithCounters(const exp::RunResult &r)
+{
+    return fieldsText(r, true);
+}
+
+std::string
+firstBadMetric(const exp::RunResult &r)
+{
+    std::string bad;
+    exp::forEachField([&](const auto &field) {
+        const auto v = r.*field.member;
+        if (bad.empty() && field.kind == exp::FieldKind::Result &&
+            badValue(v))
+            bad = std::string(field.name) + "=" + valueText(v);
+    });
+    return bad;
 }
 
 double

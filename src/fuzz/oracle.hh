@@ -116,10 +116,23 @@ struct TrialOutcome
 /** The fixed oracle-name universe, in reporting order. */
 const std::vector<std::string> &oracleNames();
 
-/** Canonical key=value text of a RunResult (fixed field order,
- * shortest round-trip decimals) -- the byte string the twin and
- * double-run oracles compare. */
+/**
+ * Canonical text of a RunResult's result fields: one name=value line
+ * per exp::kResultFields entry marked Result, in table order, doubles
+ * as shortest round-trip decimals. Two runs of one spec agree when
+ * their texts are equal, whichever path they took; the oracles, the
+ * identity tests and perfbench's digests compare these bytes.
+ */
 std::string resultText(const exp::RunResult &r);
+
+/** resultText followed by the tick-engine counters. Equal only for
+ * runs that take the same path: same seed, job count, engine switch
+ * and periodics. */
+std::string resultTextWithCounters(const exp::RunResult &r);
+
+/** First result field that is NaN, infinite or negative, as
+ * "name=value", or "" when every field is sound. */
+std::string firstBadMetric(const exp::RunResult &r);
 
 /**
  * SLO rung transitions per controller sample for a run of

@@ -578,13 +578,8 @@ TEST(ChurnScenario, RunIsDeterministicPerSeed)
     exp::RunResult a = exp::runScenario(cfg);
     exp::RunResult b = exp::runScenario(cfg);
     EXPECT_GT(a.churnArrivals, 0u);
-    EXPECT_DOUBLE_EQ(a.mlPerf, b.mlPerf);
-    EXPECT_DOUBLE_EQ(a.cpuThroughput, b.cpuThroughput);
-    EXPECT_DOUBLE_EQ(a.avgLoCores, b.avgLoCores);
-    EXPECT_EQ(a.churnArrivals, b.churnArrivals);
-    EXPECT_EQ(a.churnFinishes, b.churnFinishes);
-    EXPECT_EQ(a.churnCrashes, b.churnCrashes);
-    EXPECT_EQ(a.sloTransitions, b.sloTransitions);
+    EXPECT_EQ(fuzz::resultTextWithCounters(a),
+              fuzz::resultTextWithCounters(b));
 }
 
 TEST(ChurnScenario, EventLogsIdenticalAcrossBuilds)
@@ -632,13 +627,12 @@ TEST(ChurnScenario, KillAndRestartIsBitNeutralWithoutFaults)
 
     EXPECT_EQ(clean.restarts, 0u);
     EXPECT_EQ(killed.restarts, 1u);
-    EXPECT_DOUBLE_EQ(clean.mlPerf, killed.mlPerf);
-    EXPECT_DOUBLE_EQ(clean.cpuThroughput, killed.cpuThroughput);
-    EXPECT_DOUBLE_EQ(clean.avgLoCores, killed.avgLoCores);
-    EXPECT_DOUBLE_EQ(clean.avgLoPrefetchers,
-                     killed.avgLoPrefetchers);
-    EXPECT_DOUBLE_EQ(clean.avgHiBackfill, killed.avgHiBackfill);
-    EXPECT_DOUBLE_EQ(clean.avgSocketBw, killed.avgSocketBw);
+    // Everything but the restart counter, as the restart-divergence
+    // oracle compares; the kill event adds a periodic firing, so the
+    // counters differ.
+    exp::RunResult masked = clean;
+    masked.restarts = killed.restarts;
+    EXPECT_EQ(fuzz::resultText(masked), fuzz::resultText(killed));
 }
 
 TEST(ChurnScenario, ChurnOffIsBitIdenticalToStaticPath)
@@ -652,8 +646,8 @@ TEST(ChurnScenario, ChurnOffIsBitIdenticalToStaticPath)
     cfg.cpuInstances = 4;
     exp::RunResult a = exp::runScenario(cfg);
     exp::RunResult b = exp::runScenario(cfg);
-    EXPECT_DOUBLE_EQ(a.mlPerf, b.mlPerf);
-    EXPECT_DOUBLE_EQ(a.cpuThroughput, b.cpuThroughput);
+    EXPECT_EQ(fuzz::resultTextWithCounters(a),
+              fuzz::resultTextWithCounters(b));
     EXPECT_EQ(a.churnArrivals, 0u);
     EXPECT_EQ(a.restarts, 0u);
     EXPECT_EQ(a.sloTransitions, 0u);

@@ -10,6 +10,7 @@
 #include <cmath>
 #include <set>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "fuzz/fuzzer.hh"
@@ -189,6 +190,92 @@ TEST(FuzzOracle, LadderThrashRate)
     EXPECT_DOUBLE_EQ(ladderThrashRate(5, 10.0, 2.0), 1.0);
     EXPECT_DOUBLE_EQ(ladderThrashRate(3, 0.0, 1.0), 0.0);
     EXPECT_DOUBLE_EQ(ladderThrashRate(3, 10.0, 0.0), 0.0);
+}
+
+namespace {
+
+/** A RunResult whose field at table position i (from 1) holds 0.1 * i
+ * if a double, -i if an int, and i * 10^12 if unsigned. */
+exp::RunResult
+distinctResult()
+{
+    exp::RunResult r;
+    int i = 0;
+    exp::forEachField([&](const auto &field) {
+        using T = std::remove_cvref_t<decltype(r.*field.member)>;
+        ++i;
+        if constexpr (std::is_floating_point_v<T>)
+            r.*field.member = 0.1 * i;
+        else if constexpr (std::is_signed_v<T>)
+            r.*field.member = -i;
+        else
+            r.*field.member = static_cast<T>(i) * 1000000000000u;
+    });
+    return r;
+}
+
+} // namespace
+
+TEST(FuzzOracle, ResultTextBytesArePinned)
+{
+    // Field order and number formatting of the canonical text:
+    // perfbench's result digests hash these bytes.
+    const std::string results = "mlPerf=0.1\n"
+                                "mlTailP95=0.2\n"
+                                "cpuThroughput=0.30000000000000004\n"
+                                "avgLoCores=0.4\n"
+                                "avgLoPrefetchers=0.5\n"
+                                "avgHiBackfill=0.6000000000000001\n"
+                                "timeInFailSafe=0.7000000000000001\n"
+                                "failSafeEntries=8000000000000\n"
+                                "avgSaturation=0.9\n"
+                                "avgSocketBw=1\n"
+                                "churnArrivals=11000000000000\n"
+                                "churnFinishes=12000000000000\n"
+                                "churnCrashes=13000000000000\n"
+                                "churnRejected=14000000000000\n"
+                                "restarts=15000000000000\n"
+                                "sloViolations=16000000000000\n"
+                                "sloTransitions=17000000000000\n"
+                                "sloFinalRung=-18\n"
+                                "reqArrivals=19000000000000\n"
+                                "reqAdmitted=20000000000000\n"
+                                "reqRejected=21000000000000\n"
+                                "reqShed=22000000000000\n"
+                                "reqExpired=23000000000000\n"
+                                "reqCompleted=24000000000000\n"
+                                "reqInFlight=25000000000000\n"
+                                "brownoutTransitions=26000000000000\n"
+                                "brownoutFinal=-27\n"
+                                "reqP99=2.8000000000000003\n"
+                                "reqP999=2.9000000000000004\n"
+                                "reqP9999=3\n";
+    const std::string counters = "engineTicks=31000000000000\n"
+                                 "engineFastTicks=32000000000000\n"
+                                 "engineFullTicks=33000000000000\n"
+                                 "periodicFires=34000000000000\n"
+                                 "demandCalls=35000000000000\n"
+                                 "advanceCalls=36000000000000\n"
+                                 "fastTaskTicks=37000000000000\n"
+                                 "resolveCacheHits=38000000000000\n"
+                                 "resolveCacheMisses=39000000000000\n"
+                                 "mcCacheHits=40000000000000\n"
+                                 "mcCacheMisses=41000000000000\n"
+                                 "memFastTicks=42000000000000\n";
+    const exp::RunResult r = distinctResult();
+    EXPECT_EQ(resultText(r), results);
+    EXPECT_EQ(resultTextWithCounters(r), results + counters);
+}
+
+TEST(FuzzOracle, BadMetricScansEveryResultField)
+{
+    exp::RunResult r;
+    EXPECT_EQ(firstBadMetric(r), "");
+    r.brownoutFinal = -1;
+    EXPECT_EQ(firstBadMetric(r), "brownoutFinal=-1");
+    r.reqP99 = std::nan("");
+    r.avgSocketBw = -0.5;
+    EXPECT_EQ(firstBadMetric(r), "avgSocketBw=-0.5");
 }
 
 TEST(FuzzOracle, ResultTextIsStablePerRun)

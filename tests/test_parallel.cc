@@ -25,6 +25,7 @@
 #include "exp/pool.hh"
 #include "exp/sweep_runner.hh"
 #include "fleet/fleet.hh"
+#include "fuzz/oracle.hh"
 #include "sim/rng.hh"
 
 namespace {
@@ -178,25 +179,6 @@ TEST(ParallelMap, MatchesSerialForEveryJobCount)
     }
 }
 
-void
-expectSameResults(const std::vector<exp::RunResult> &a,
-                  const std::vector<exp::RunResult> &b,
-                  const std::string &what)
-{
-    ASSERT_EQ(a.size(), b.size()) << what;
-    for (size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(a[i].mlPerf, b[i].mlPerf) << what << " run " << i;
-        EXPECT_EQ(a[i].mlTailP95, b[i].mlTailP95)
-            << what << " run " << i;
-        EXPECT_EQ(a[i].cpuThroughput, b[i].cpuThroughput)
-            << what << " run " << i;
-        EXPECT_EQ(a[i].avgSaturation, b[i].avgSaturation)
-            << what << " run " << i;
-        EXPECT_EQ(a[i].avgLoCores, b[i].avgLoCores)
-            << what << " run " << i;
-    }
-}
-
 TEST(SweepRunner, ScenarioSweepIsBitIdenticalAcrossJobCounts)
 {
     // A small but heterogeneous sweep: two configs that exercise the
@@ -215,8 +197,14 @@ TEST(SweepRunner, ScenarioSweepIsBitIdenticalAcrossJobCounts)
     }
 
     const auto serial = exp::runScenarios(cfgs, 1);
-    expectSameResults(exp::runScenarios(cfgs, 4), serial, "jobs=4");
-    expectSameResults(exp::runScenarios(cfgs, 16), serial, "jobs=16");
+    for (int jobs : {4, 16}) {
+        const auto par = exp::runScenarios(cfgs, jobs);
+        ASSERT_EQ(par.size(), serial.size());
+        for (size_t i = 0; i < serial.size(); ++i)
+            EXPECT_EQ(fuzz::resultTextWithCounters(par[i]),
+                      fuzz::resultTextWithCounters(serial[i]))
+                << "run " << i << " jobs " << jobs;
+    }
 }
 
 TEST(SweepRunner, FleetProfileIsBitIdenticalAcrossJobCounts)

@@ -11,6 +11,7 @@
 #include <utility>
 
 #include "exp/scenario.hh"
+#include "fuzz/oracle.hh"
 #include "hal/fault_injector.hh"
 #include "kelp/kelp_controller.hh"
 #include "kelp/manager.hh"
@@ -227,9 +228,8 @@ TEST(Robustness, DeterministicAcrossRuns)
     cfg.samplePeriod = 2.0;
     exp::RunResult a = exp::runScenario(cfg);
     exp::RunResult b = exp::runScenario(cfg);
-    EXPECT_DOUBLE_EQ(a.mlPerf, b.mlPerf);
-    EXPECT_DOUBLE_EQ(a.cpuThroughput, b.cpuThroughput);
-    EXPECT_DOUBLE_EQ(a.avgSaturation, b.avgSaturation);
+    EXPECT_EQ(fuzz::resultTextWithCounters(a),
+              fuzz::resultTextWithCounters(b));
 }
 
 TEST(Robustness, SeedChangesInferenceArrivals)

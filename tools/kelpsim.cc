@@ -394,44 +394,18 @@ main(int argc, char **argv)
             man.set("churn", cfg.churn.enabled);
             man.set("slo", cfg.slo.enabled);
             man.set("contract_violations", sim::contractViolations());
-            man.set("ml_perf", r.mlPerf);
+            exp::forEachField([&](const auto &field) {
+                man.set(field.name, r.*field.member);
+            });
             man.set("ml_perf_ref", ref.mlPerf);
-            man.set("ml_tail_p95_s", r.mlTailP95);
-            man.set("cpu_throughput", r.cpuThroughput);
-            man.set("avg_lo_cores", r.avgLoCores);
-            man.set("avg_lo_prefetchers", r.avgLoPrefetchers);
-            man.set("avg_hi_backfill", r.avgHiBackfill);
-            man.set("fail_safe_entries", r.failSafeEntries);
-            man.set("time_in_fail_safe_s", r.timeInFailSafe);
-            man.set("restarts", r.restarts);
             man.set("decision_events", decisions.size());
-            man.set("engine_ticks", r.engineTicks);
-            man.set("engine_fast_ticks", r.engineFastTicks);
-            man.set("engine_full_ticks", r.engineFullTicks);
             man.set("engine_skip_ratio", r.skipRatio());
-            man.set("periodic_fires", r.periodicFires);
-            man.set("demand_calls", r.demandCalls);
-            man.set("advance_calls", r.advanceCalls);
-            man.set("fast_task_ticks", r.fastTaskTicks);
-            man.set("resolve_cache_hits", r.resolveCacheHits);
-            man.set("resolve_cache_misses", r.resolveCacheMisses);
-            man.set("mc_cache_hits", r.mcCacheHits);
-            man.set("mc_cache_misses", r.mcCacheMisses);
-            man.set("mem_fast_ticks", r.memFastTicks);
             if (s.inferTask) {
                 man.addHistogram("ml_request_latency_s",
                                  s.inferTask->latency());
             }
             if (s.server) {
                 man.set("traffic", cfg.serving.traffic.toString());
-                man.set("req_arrivals", r.reqArrivals);
-                man.set("req_admitted", r.reqAdmitted);
-                man.set("req_rejected", r.reqRejected);
-                man.set("req_shed", r.reqShed);
-                man.set("req_expired", r.reqExpired);
-                man.set("req_completed", r.reqCompleted);
-                man.set("brownout_transitions",
-                        r.brownoutTransitions);
                 man.addHistogram("request_latency_s",
                                  s.server->latency());
             }
