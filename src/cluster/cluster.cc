@@ -275,10 +275,10 @@ simulateCluster(const ClusterConfig &cfg, trace::DecisionLog *log)
     policy.sloFloor = cfg.sloFloor;
     policy.sloMargin = cfg.sloMargin;
 
-    // Pre-warm the standalone-reference memo serially so the
-    // evaluation fan-out below only ever reads it, and evaluate the
-    // idle signature: the same-windows baseline every colocated
-    // measurement normalizes against.
+    // Pre-warm the standalone-reference memo (one reference, built
+    // on the caller) so the evaluations below only ever read it, and
+    // evaluate the idle signature: the same-windows baseline every
+    // colocated measurement normalizes against.
     const EvalKey idle_key{-1, 0};
     exp::prewarmReferences({signatureConfig(cfg, idle_key)});
 

@@ -147,9 +147,10 @@ runEvaluationGrid(const GridOptions &opt)
 {
     const std::vector<Mix> mixes = evaluationMixes();
 
-    // Pre-warm the standalone-reference memo serially so the fan-out
-    // only reads it (the memo is also guarded, but warming it here
-    // keeps the progress lines honest about where time goes).
+    // Pre-warm the standalone-reference memo on the pool, one
+    // reference per worker, so the fan-out only reads it: otherwise
+    // every worker that reaches a mix whose reference is missing
+    // would build that same reference again.
     {
         std::vector<RunConfig> cfgs;
         for (const Mix &mix : mixes) {
@@ -157,7 +158,7 @@ runEvaluationGrid(const GridOptions &opt)
             cfg.ml = mix.ml;
             cfgs.push_back(cfg);
         }
-        prewarmReferences(cfgs);
+        prewarmReferences(cfgs, opt.jobs);
     }
 
     std::vector<MixResult> results = parallelMap<MixResult>(

@@ -103,13 +103,10 @@ runJobs(int jobCount, int workers,
 
 namespace {
 
-// Recursive because the guarded initialisation in scenario.cc can
-// re-enter itself (the SLO-enabled configure path computes another
-// standalone reference).
-std::recursive_mutex &
+std::mutex &
 initMutex()
 {
-    static std::recursive_mutex m;
+    static std::mutex m;
     return m;
 }
 

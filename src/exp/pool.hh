@@ -57,8 +57,9 @@ void runJobs(int jobCount, int workers,
 /**
  * Serialise access to lazily initialised shared caches (for example
  * the standalone-reference memo in scenario.cc) without letting that
- * code name a mutex directly. Re-entrant from the owning thread: the
- * reference computation can recurse back into the cache.
+ * code name a mutex directly. Not re-entrant: hold it only around
+ * reads and inserts of the cache, never around the computation that
+ * fills it, so values for different keys can build concurrently.
  */
 class InitGuard
 {

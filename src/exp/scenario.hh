@@ -417,9 +417,14 @@ RunResult runScenario(const RunConfig &cfg);
 
 /**
  * Standalone ML performance (and p95 tail) for normalization,
- * memoized per workload within the process.
+ * memoized per workload within the process. Safe to call from pool
+ * workers: a missing reference runs outside the memo's InitGuard, so
+ * references for different workloads build in parallel.
  */
 RunResult standaloneReference(wl::MlWorkload ml);
+
+/** True when standaloneReference(ml) would be a memo hit. */
+bool referenceMemoized(wl::MlWorkload ml);
 
 /**
  * Baseline CPU throughput for a mix at given instance count, used as

@@ -5,8 +5,8 @@
  * Builds on the worker pool (pool.hh) with the shapes the bench
  * drivers actually use: map a function over indices with results
  * stored by index, and run a pre-collected list of RunConfigs in
- * parallel with the standalone-reference memo pre-warmed so the
- * parallel phase only ever reads it.
+ * parallel with the standalone-reference memo pre-warmed (itself on
+ * the pool) so the parallel phase only ever reads it.
  */
 
 #ifndef KELP_EXP_SWEEP_RUNNER_HH
@@ -40,12 +40,14 @@ parallelMap(int n, int jobs, const std::function<T(int)> &fn,
 }
 
 /**
- * Serially compute (and memoize) the standalone reference for every
- * ML workload the given configs touch -- including those the
- * SLO-enabled configure path needs -- so that concurrent runScenario
- * calls only read the memo.
+ * Compute (and memoize) the standalone reference for every ML
+ * workload the given configs touch -- the SLO-enabled configure path
+ * needs the same ones -- so that concurrent runScenario calls only
+ * read the memo. Missing references build on up to `jobs` workers
+ * (resolveJobs semantics: <= 0 means all cores); a single missing one
+ * builds on the caller.
  */
-void prewarmReferences(const std::vector<RunConfig> &cfgs);
+void prewarmReferences(const std::vector<RunConfig> &cfgs, int jobs = 0);
 
 /** Run each config through runScenario, `jobs` at a time. */
 std::vector<RunResult> runScenarios(const std::vector<RunConfig> &cfgs,

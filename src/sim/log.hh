@@ -38,7 +38,8 @@ std::string
 format(Args &&...args)
 {
     std::ostringstream os;
-    (os << ... << args);
+    if constexpr (sizeof...(args) > 0)
+        (os << ... << args);
     return os.str();
 }
 

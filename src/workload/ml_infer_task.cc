@@ -15,16 +15,20 @@ MlInferTask::MlInferTask(std::string name, sim::GroupId group,
 {
     KELP_ASSERT(!cfg_.iteration.stages.empty(),
                 "inference iteration has no stages");
-    for (const auto &stage : cfg_.iteration.stages)
+    for (const auto &stage : cfg_.iteration.stages) {
         KELP_ASSERT(stage.segments.size() == 1,
                     "inference stages must have one segment each");
-    stageSpeeds_.resize(cfg_.iteration.stages.size());
+        const StepSegment &seg = stage.segments[0];
+        stages_.push_back({seg.kind, seg.duration, seg.host,
+                           HostSpeeds{}, 0});
+    }
     KELP_ASSERT(cfg_.itersPerRequest >= 1, "need >= 1 iteration");
     KELP_ASSERT(cfg_.pipelineDepth >= 1, "need pipeline depth >= 1");
     if (cfg_.serial) {
         cfg_.closedLoop = true;
         cfg_.pipelineDepth = 1;
     }
+    inFlight_.reserve(static_cast<size_t>(cfg_.pipelineDepth));
     KELP_ASSERT(!(cfg_.serial && cfg_.externalArrivals),
                 "serial trace mode cannot be externally driven");
     if (cfg_.externalArrivals) {
@@ -103,21 +107,13 @@ MlInferTask::fastTickRunMany(sim::Time dt, uint64_t n)
         accel_->recordBusyRepeat(0.0, 0.0, dt, n);
 }
 
-const StepSegment &
-MlInferTask::segmentOf(const Request &r) const
-{
-    return cfg_.iteration.stages[r.stage].segments[0];
-}
-
 int
 MlInferTask::threadsWanted() const
 {
     int threads = 1;
-    for (const auto &stage : cfg_.iteration.stages) {
-        const auto &seg = stage.segments[0];
-        if (seg.kind == SegmentKind::Host)
-            threads = std::max(threads, seg.host.parallelism);
-    }
+    for (const Stage &stage : stages_)
+        if (stage.kind == SegmentKind::Host)
+            threads = std::max(threads, stage.host.parallelism);
     // The pipeline can have several requests in host stages at once.
     return threads * std::min(cfg_.pipelineDepth, 2);
 }
@@ -125,28 +121,43 @@ MlInferTask::threadsWanted() const
 HostPhaseParams
 MlInferTask::llcProfile() const
 {
-    for (const auto &stage : cfg_.iteration.stages) {
-        const auto &seg = stage.segments[0];
-        if (seg.kind == SegmentKind::Host)
-            return seg.host;
-    }
+    for (const Stage &stage : stages_)
+        if (stage.kind == SegmentKind::Host)
+            return stage.host;
     return HostPhaseParams{};
+}
+
+void
+MlInferTask::admit(sim::Time arrival)
+{
+    Request r;
+    r.arrival = arrival;
+    r.remaining = stages_[0].duration;
+    r.segmentStart = now_;
+    inFlight_.push_back(r);
+    if (stages_[0].kind == SegmentKind::Host)
+        ++hostActive_;
 }
 
 bool
 MlInferTask::advanceStage(Request &r)
 {
-    if (traceSink_) {
-        traceSink_({segmentOf(r).kind, r.segmentStart, now_, r.iter});
-    }
+    const Stage &done = stages_[r.stage];
+    if (traceSink_)
+        traceSink_({done.kind, r.segmentStart, now_, r.iter});
+    if (done.kind == SegmentKind::Host)
+        --hostActive_;
     ++r.stage;
-    if (r.stage >= cfg_.iteration.stages.size()) {
+    if (r.stage >= stages_.size()) {
         r.stage = 0;
         ++r.iter;
         if (r.iter >= cfg_.itersPerRequest)
             return true;
     }
-    r.remaining = segmentOf(r).duration;
+    const Stage &next = stages_[r.stage];
+    if (next.kind == SegmentKind::Host)
+        ++hostActive_;
+    r.remaining = next.duration;
     r.segmentStart = now_;
     return false;
 }
@@ -155,13 +166,8 @@ void
 MlInferTask::admitFromQueue()
 {
     while (static_cast<int>(inFlight_.size()) < cfg_.pipelineDepth &&
-           queueHead_ < queue_.size()) {
-        Request r;
-        r.arrival = queue_[queueHead_++];
-        r.remaining = segmentOf(r).duration;
-        r.segmentStart = now_;
-        inFlight_.push_back(r);
-    }
+           queueHead_ < queue_.size())
+        admit(queue_[queueHead_++]);
     // Drop the consumed prefix in place once it is at least half the
     // buffer, so the capacity is kept and the backlog stays bounded.
     if (queueHead_ * 2 >= queue_.size()) {
@@ -174,22 +180,20 @@ MlInferTask::admitFromQueue()
 sim::GiBps
 MlInferTask::bwDemand(const ExecEnv &env)
 {
-    // Demand comes from requests currently in host segments.
-    int host_active = 0;
-    const HostPhaseParams *params = nullptr;
-    for (const auto &r : inFlight_) {
-        const auto &seg = segmentOf(r);
-        if (seg.kind == SegmentKind::Host) {
-            ++host_active;
-            params = &seg.host;
-        }
-    }
-    if (!host_active)
+    // Demand comes from requests currently in host segments, at the
+    // parameters of the last of them in admission order.
+    if (!hostActive_)
         return 0.0;
-    double share = env.effCores / host_active;
+    const HostPhaseParams *params = nullptr;
+    for (auto r = inFlight_.rbegin(); r != inFlight_.rend() && !params;
+         ++r)
+        if (stages_[r->stage].kind == SegmentKind::Host)
+            params = &stages_[r->stage].host;
+    KELP_ASSERT(params, "host-stage count out of step with requests");
+    double share = env.effCores / hostActive_;
     double cores_each =
         std::min(share, static_cast<double>(params->parallelism));
-    return hostDemand(*params, cores_each * host_active, demandBasis(),
+    return hostDemand(*params, cores_each * hostActive_, demandBasis(),
                       env.missRatio, env.pfFraction);
 }
 
@@ -201,6 +205,7 @@ MlInferTask::advance(sim::Time dt, const ExecEnv &env)
     sim::Time link_busy = 0.0;
     double last_host_speed = -1.0;
     ++advances_;
+    const size_t depth = static_cast<size_t>(cfg_.pipelineDepth);
 
     // Event loop within the tick: advance to the next segment
     // completion or arrival, whichever is first.
@@ -208,105 +213,88 @@ MlInferTask::advance(sim::Time dt, const ExecEnv &env)
     while (now_ < end - 1e-12) {
         KELP_ASSERT(++guard < 100000, "inference event loop stuck");
 
-        // Admit arrivals that have already happened.
-        if (!cfg_.closedLoop) {
-            // Externally-driven tasks get arrivals via submit()
-            // only; the self-generating branch never runs for them
-            // (nextArrival_ stays at its sentinel).
+        if (cfg_.closedLoop) {
+            // Closed loop: keep exactly pipelineDepth requests in
+            // flight; a fresh one arrives the moment a slot frees.
+            while (inFlight_.size() < depth)
+                admit(now_);
+        } else {
+            // Admit arrivals that have already happened. Externally
+            // driven tasks get arrivals via submit() only; the
+            // self-generating loop never runs for them (nextArrival_
+            // stays at its sentinel).
             while (nextArrival_ <= now_ + 1e-12) {
                 queue_.push_back(nextArrival_);
                 nextArrival_ += rng_.exponential(1.0 / cfg_.targetQps);
             }
-        } else {
-            // Closed loop: keep exactly pipelineDepth requests in
-            // flight; a fresh one arrives the moment a slot frees.
-            while (static_cast<int>(inFlight_.size() + queued()) <
-                   cfg_.pipelineDepth) {
-                queue_.push_back(now_);
-            }
+            admitFromQueue();
         }
-        admitFromQueue();
 
-        // Compute speeds for every in-flight request.
-        int host_active = 0;
-        for (const auto &r : inFlight_)
-            if (segmentOf(r).kind == SegmentKind::Host)
-                ++host_active;
-
+        // Speed of every in-flight request, and the next event: the
+        // earliest completion, the next arrival, or the tick end.
+        sim::Time horizon = end;
+        if (!cfg_.closedLoop)
+            horizon = std::min(horizon, nextArrival_);
         bool accel_taken = false, pcie_taken = false;
-        std::vector<double> &speed = speed_;
-        speed.assign(inFlight_.size(), 0.0);
-        for (size_t i = 0; i < inFlight_.size(); ++i) {
-            const auto &seg = segmentOf(inFlight_[i]);
-            switch (seg.kind) {
+        for (Request &r : inFlight_) {
+            Stage &stage = stages_[r.stage];
+            r.speed = 0.0;
+            switch (stage.kind) {
               case SegmentKind::Host: {
-                double share = env.effCores / host_active;
+                double share = env.effCores / hostActive_;
                 double cores_each = std::min(
-                    share, static_cast<double>(seg.host.parallelism));
-                double core_scale =
-                    cores_each / seg.host.parallelism;
-                StageSpeeds &stage = stageSpeeds_[inFlight_[i].stage];
+                    share, static_cast<double>(stage.host.parallelism));
+                double core_scale = cores_each / stage.host.parallelism;
                 if (stage.call != advances_) {
                     stage.speeds =
-                        hostSpeeds(seg.host, env, demandBasis());
+                        hostSpeeds(stage.host, env, demandBasis());
                     stage.call = advances_;
                 }
-                const HostSpeeds &sp = stage.speeds;
-                speed[i] = std::max(sp.speed * core_scale, 1e-6);
-                last_host_speed = sp.demandSpeed;
+                r.speed = std::max(stage.speeds.speed * core_scale, 1e-6);
+                last_host_speed = stage.speeds.demandSpeed;
                 break;
               }
               case SegmentKind::Accel:
                 // FIFO: only the first accel-stage request runs.
                 if (!accel_taken) {
-                    speed[i] = 1.0;
+                    r.speed = 1.0;
                     accel_taken = true;
                 }
                 break;
               case SegmentKind::Pcie:
                 if (!pcie_taken) {
-                    speed[i] = 1.0;
+                    r.speed = 1.0;
                     pcie_taken = true;
                 }
                 break;
             }
-        }
-
-        // Next event: earliest completion, next arrival, or tick end.
-        sim::Time horizon = end;
-        if (!cfg_.closedLoop)
-            horizon = std::min(horizon, nextArrival_);
-        for (size_t i = 0; i < inFlight_.size(); ++i) {
-            if (speed[i] > 0.0) {
-                horizon = std::min(
-                    horizon, now_ + inFlight_[i].remaining / speed[i]);
-            }
+            if (r.speed > 0.0)
+                horizon = std::min(horizon, now_ + r.remaining / r.speed);
         }
         sim::Time slice = std::max(horizon - now_, 1e-12);
-
-        for (size_t i = 0; i < inFlight_.size(); ++i) {
-            if (speed[i] > 0.0)
-                inFlight_[i].remaining -= slice * speed[i];
-            const auto &seg = segmentOf(inFlight_[i]);
-            if (speed[i] > 0.0 && seg.kind == SegmentKind::Accel)
-                accel_busy += slice;
-            if (speed[i] > 0.0 && seg.kind == SegmentKind::Pcie)
-                link_busy += slice;
-        }
         now_ += slice;
 
-        // Retire completed segments and requests.
+        // Progress each request by the slice and retire its segment,
+        // or the request, if that completed it. Requests do not read
+        // each other's progress, so one pass matches progressing all
+        // of them before retiring any.
         for (size_t i = 0; i < inFlight_.size();) {
-            if (inFlight_[i].remaining <= 1e-12) {
-                if (advanceStage(inFlight_[i])) {
-                    latency_.add(now_ - inFlight_[i].arrival);
-                    ++completed_;
-                    if (completionSink_)
-                        completionSink_(inFlight_[i].arrival, now_);
-                    inFlight_.erase(inFlight_.begin() +
-                                    static_cast<long>(i));
-                    continue;
-                }
+            Request &r = inFlight_[i];
+            if (r.speed > 0.0) {
+                r.remaining -= slice * r.speed;
+                const SegmentKind kind = stages_[r.stage].kind;
+                if (kind == SegmentKind::Accel)
+                    accel_busy += slice;
+                else if (kind == SegmentKind::Pcie)
+                    link_busy += slice;
+            }
+            if (r.remaining <= 1e-12 && advanceStage(r)) {
+                latency_.add(now_ - r.arrival);
+                ++completed_;
+                if (completionSink_)
+                    completionSink_(r.arrival, now_);
+                inFlight_.erase(inFlight_.begin() + static_cast<long>(i));
+                continue;
             }
             ++i;
         }

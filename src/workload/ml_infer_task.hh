@@ -18,6 +18,15 @@
  * request-latency distribution (95th percentile tail). A serial mode
  * reproduces Figure 3's one-request-at-a-time trace and can emit the
  * phase timeline through a trace sink.
+ *
+ * The event loop in advance() runs at every full tick and, for a
+ * closed loop, never fast-forwards, so it avoids re-deriving what
+ * does not change. The constructor flattens the iteration into a
+ * stage table (kind, duration, host parameters), indexed by each
+ * request's stage. hostActive_ always equals the number of in-flight
+ * requests whose current stage is Host: admit() and advanceStage(),
+ * the only places a request enters or leaves a stage, keep it up to
+ * date, and advance() and bwDemand() read it instead of rescanning.
  */
 
 #ifndef KELP_WORKLOAD_ML_INFER_TASK_HH
@@ -141,6 +150,19 @@ class MlInferTask : public Task
     void fastTickRunMany(sim::Time dt, uint64_t n) override;
 
   private:
+    /** One stage of the iteration, flattened from cfg_.iteration. */
+    struct Stage
+    {
+        SegmentKind kind;
+        sim::Time duration;
+        HostPhaseParams host;
+        /** hostSpeeds() of a host stage, computed at most once per
+         * advance(): none of its inputs moves inside one call. Valid
+         * while call equals advances_. */
+        HostSpeeds speeds;
+        uint64_t call = 0;
+    };
+
     struct Request
     {
         sim::Time arrival;
@@ -148,10 +170,12 @@ class MlInferTask : public Task
         size_t stage = 0;
         sim::Time remaining = 0.0;
         sim::Time segmentStart = 0.0;
+        /** Progress rate in the current event step of advance(). */
+        double speed = 0.0;
     };
 
-    /** Segment spec for a request's current stage. */
-    const StepSegment &segmentOf(const Request &r) const;
+    /** Start a request that arrived at `arrival` in the first stage. */
+    void admit(sim::Time arrival);
 
     /** Move a request to its next segment/iteration; true if done. */
     bool advanceStage(Request &r);
@@ -162,27 +186,22 @@ class MlInferTask : public Task
     accel::Accelerator *accel_;
     sim::Rng rng_;
 
+    std::vector<Stage> stages_;
+
     sim::Time now_ = 0.0;
     sim::Time nextArrival_ = 0.0;
     /** Waiting arrivals, oldest at queueHead_. A vector with a moving
      * head rather than a deque, which allocates a block every few
-     * dozen requests as they cycle through it. */
+     * dozen requests as they cycle through it. Open-loop and
+     * externally driven only: a closed loop admits directly. */
     std::vector<sim::Time> queue_;
     size_t queueHead_ = 0;
+    /** Requests in service in admission order, which is the FIFO
+     * order of the Accel and Pcie stations. Capacity pipelineDepth,
+     * reserved up front. */
     std::vector<Request> inFlight_;
-    /** Per-request speeds of one event step in advance(); a member
-     * only so its capacity is reused across steps. */
-    std::vector<double> speed_;
-
-    /** hostSpeeds() of each stage's host segment, computed at most
-     * once per advance(): none of its inputs moves inside one call.
-     * Valid while call equals advances_. */
-    struct StageSpeeds
-    {
-        HostSpeeds speeds;
-        uint64_t call = 0;
-    };
-    std::vector<StageSpeeds> stageSpeeds_;
+    /** Requests of inFlight_ whose current stage is Host. */
+    int hostActive_ = 0;
     uint64_t advances_ = 0;
 
     uint64_t completed_ = 0;

@@ -175,8 +175,9 @@ TEST(FuzzMutate, MutantsStayInsideTheEnvelope)
             EXPECT_GT(c.slo.minPerfRatio, 0.0);
             EXPECT_LE(c.slo.minPerfRatio, 1.0);
         }
-        if (c.churn.enabled)
+        if (c.churn.enabled) {
             EXPECT_GT(c.churn.arrivalRate, 0.0);
+        }
     }
 }
 

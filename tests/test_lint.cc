@@ -69,8 +69,9 @@ TEST(LintUnorderedIter, FlagsRangeForOverUnorderedInControlPaths)
     auto fs = lintFixture("bad_unordered.cc", "src/kelp/bad_unordered.cc");
     ASSERT_EQ(countRule(fs, "unordered-iter"), 1);
     for (const auto &f : fs)
-        if (f.rule == "unordered-iter")
+        if (f.rule == "unordered-iter") {
             EXPECT_EQ(f.line, 13) << f.excerpt;
+        }
 }
 
 TEST(LintUnorderedIter, OutsideControlPathsIsLegal)
@@ -109,10 +110,11 @@ TEST(LintIncludeGuard, FlagsMismatchedGuard)
     auto fs = lintFixture("bad_guard.hh", "src/mem/bad_guard.hh");
     ASSERT_EQ(countRule(fs, "include-guard"), 1);
     for (const auto &f : fs)
-        if (f.rule == "include-guard")
+        if (f.rule == "include-guard") {
             EXPECT_NE(f.message.find("KELP_MEM_BAD_GUARD_HH"),
                       std::string::npos)
                 << f.message;
+        }
 }
 
 TEST(LintIncludeGuard, ExpectedGuardNaming)
@@ -225,8 +227,9 @@ TEST(LintRawParallelism, FlagsRawThreadingOutsidePool)
     // this_thread sleeps must not fire.
     EXPECT_EQ(countRule(fs, "raw-parallelism"), 6);
     for (const auto &f : fs)
-        if (f.rule == "raw-parallelism")
+        if (f.rule == "raw-parallelism") {
             EXPECT_LE(f.line, 16) << f.message;
+        }
 }
 
 TEST(LintRawParallelism, PoolImplementationIsExempt)

@@ -7,7 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
+#include "exp/scenario.hh"
+#include "fuzz/oracle.hh"
 #include "workload/catalog.hh"
 #include "workload/ml_infer_task.hh"
 #include "workload/ml_train_task.hh"
@@ -268,4 +271,298 @@ TEST(MlInferTask, MultiSegmentStagePanics)
     cfg.iteration.stages[0].segments.push_back(
         accelSegment(1.0 * msec));
     EXPECT_DEATH(MlInferTask("x", 0, cfg, nullptr), "one segment");
+}
+
+namespace {
+
+/*
+ * Golden bytes for the inference server inside a whole scenario: RNN1
+ * at 2 s warmup + 3 s measure in each mode MlInferTask::advance
+ * serves. A change to the floating-point operations of its event
+ * loop, or to their order, moves them; the perfbench digests would
+ * notice too, but they only inform.
+ */
+exp::RunConfig
+goldenConfig()
+{
+    exp::RunConfig cfg;
+    cfg.ml = MlWorkload::Rnn1;
+    cfg.config = exp::ConfigKind::BL;
+    cfg.warmup = 2.0;
+    cfg.measure = 3.0;
+    return cfg;
+}
+
+/** Result text as every build type prints it. Debug builds recompute
+ * each resolve-cache hit to cross-check it (MemSystem::resolve), and
+ * the recompute counts memory-controller cache hits of its own. */
+std::string
+buildNeutral(std::string text)
+{
+#ifndef NDEBUG
+    const size_t at = text.find("mcCacheHits=");
+    text.erase(at, text.find('\n', at) + 1 - at);
+#endif
+    return text;
+}
+
+void
+expectGolden(const exp::RunConfig &cfg, const char *text)
+{
+    EXPECT_EQ(buildNeutral(
+                  fuzz::resultTextWithCounters(exp::runScenario(cfg))),
+              buildNeutral(text));
+}
+
+} // namespace
+
+TEST(MlInferGolden, ClosedLoopStandalone)
+{
+    // Closed-loop BL standalone (the reference's own mode).
+    exp::RunConfig cfg = goldenConfig();
+    expectGolden(cfg, R"(mlPerf=631.3333333333334
+mlTailP95=0.0047737207895847756
+cpuThroughput=0
+avgLoCores=16
+avgLoPrefetchers=16
+avgHiBackfill=0
+timeInFailSafe=0
+failSafeEntries=0
+avgSaturation=0
+avgSocketBw=6.251908121277357
+churnArrivals=0
+churnFinishes=0
+churnCrashes=0
+churnRejected=0
+restarts=0
+sloViolations=0
+sloTransitions=0
+sloFinalRung=0
+reqArrivals=0
+reqAdmitted=0
+reqRejected=0
+reqShed=0
+reqExpired=0
+reqCompleted=0
+reqInFlight=0
+brownoutTransitions=0
+brownoutFinal=0
+reqP99=0
+reqP999=0
+reqP9999=0
+engineTicks=50000
+engineFastTicks=0
+engineFullTicks=50000
+periodicFires=1
+demandCalls=50000
+advanceCalls=50000
+fastTaskTicks=0
+resolveCacheHits=3
+resolveCacheMisses=49997
+mcCacheHits=99992
+mcCacheMisses=99996
+memFastTicks=0
+)");
+}
+
+TEST(MlInferGolden, SerialTrace)
+{
+    // Serial trace mode: one request in flight.
+    exp::RunConfig cfg = goldenConfig();
+    cfg.serialInference = true;
+    expectGolden(cfg, R"(mlPerf=210.33333333333334
+mlTailP95=0.0047737207895847756
+cpuThroughput=0
+avgLoCores=16
+avgLoPrefetchers=16
+avgHiBackfill=0
+timeInFailSafe=0
+failSafeEntries=0
+avgSaturation=0
+avgSocketBw=2.084173925710808
+churnArrivals=0
+churnFinishes=0
+churnCrashes=0
+churnRejected=0
+restarts=0
+sloViolations=0
+sloTransitions=0
+sloFinalRung=0
+reqArrivals=0
+reqAdmitted=0
+reqRejected=0
+reqShed=0
+reqExpired=0
+reqCompleted=0
+reqInFlight=0
+brownoutTransitions=0
+brownoutFinal=0
+reqP99=0
+reqP999=0
+reqP9999=0
+engineTicks=50000
+engineFastTicks=0
+engineFullTicks=50000
+periodicFires=1
+demandCalls=50000
+advanceCalls=50000
+fastTaskTicks=0
+resolveCacheHits=16813
+resolveCacheMisses=33187
+mcCacheHits=66372
+mcCacheMisses=66376
+memFastTicks=0
+)");
+}
+
+TEST(MlInferGolden, OpenLoop)
+{
+    // Open-loop Poisson arrivals.
+    exp::RunConfig cfg = goldenConfig();
+    cfg.openLoopQps = 300.0;
+    expectGolden(cfg, R"(mlPerf=299
+mlTailP95=0.0069514579697586365
+cpuThroughput=0
+avgLoCores=16
+avgLoPrefetchers=16
+avgHiBackfill=0
+timeInFailSafe=0
+failSafeEntries=0
+avgSaturation=0
+avgSocketBw=2.9548011692653304
+churnArrivals=0
+churnFinishes=0
+churnCrashes=0
+churnRejected=0
+restarts=0
+sloViolations=0
+sloTransitions=0
+sloFinalRung=0
+reqArrivals=0
+reqAdmitted=0
+reqRejected=0
+reqShed=0
+reqExpired=0
+reqCompleted=0
+reqInFlight=0
+brownoutTransitions=0
+brownoutFinal=0
+reqP99=0
+reqP999=0
+reqP9999=0
+engineTicks=50000
+engineFastTicks=10084
+engineFullTicks=39916
+periodicFires=1
+demandCalls=39916
+advanceCalls=39916
+fastTaskTicks=10084
+resolveCacheHits=9015
+resolveCacheMisses=30901
+mcCacheHits=61800
+mcCacheMisses=61804
+memFastTicks=10084
+)");
+}
+
+TEST(MlInferGolden, ExternallyDriven)
+{
+    // Externally driven by the serving layer, default traffic.
+    exp::RunConfig cfg = goldenConfig();
+    cfg.serving.enabled = true;
+    expectGolden(cfg, R"(mlPerf=307
+mlTailP95=0.02678483864619567
+cpuThroughput=0
+avgLoCores=16
+avgLoPrefetchers=16
+avgHiBackfill=0
+timeInFailSafe=0
+failSafeEntries=0
+avgSaturation=0
+avgSocketBw=3.026376575706694
+churnArrivals=0
+churnFinishes=0
+churnCrashes=0
+churnRejected=0
+restarts=0
+sloViolations=0
+sloTransitions=0
+sloFinalRung=0
+reqArrivals=1546
+reqAdmitted=1546
+reqRejected=0
+reqShed=0
+reqExpired=0
+reqCompleted=1541
+reqInFlight=5
+brownoutTransitions=0
+brownoutFinal=0
+reqP99=0.0308422039735602
+reqP999=0.045296511240283756
+reqP9999=0.04585903881761061
+engineTicks=50000
+engineFastTicks=18686
+engineFullTicks=31314
+periodicFires=1001
+demandCalls=31314
+advanceCalls=31314
+fastTaskTicks=18686
+resolveCacheHits=9939
+resolveCacheMisses=21375
+mcCacheHits=42748
+mcCacheMisses=42752
+memFastTicks=18686
+)");
+}
+
+TEST(MlInferGolden, ColocatedUnderKelp)
+{
+    // KP colocated with four Stitch instances.
+    exp::RunConfig cfg = goldenConfig();
+    cfg.config = exp::ConfigKind::KP;
+    cfg.cpu = CpuWorkload::Stitch;
+    cfg.cpuInstances = 4;
+    expectGolden(cfg, R"(mlPerf=580
+mlTailP95=0.005296011988176894
+cpuThroughput=4.511904355662961
+avgLoCores=8
+avgLoPrefetchers=4
+avgHiBackfill=1
+timeInFailSafe=0
+failSafeEntries=0
+avgSaturation=0.8522616641108651
+avgSocketBw=44.33157195039589
+churnArrivals=0
+churnFinishes=0
+churnCrashes=0
+churnRejected=0
+restarts=0
+sloViolations=0
+sloTransitions=0
+sloFinalRung=0
+reqArrivals=0
+reqAdmitted=0
+reqRejected=0
+reqShed=0
+reqExpired=0
+reqCompleted=0
+reqInFlight=0
+brownoutTransitions=0
+brownoutFinal=0
+reqP99=0
+reqP999=0
+reqP9999=0
+engineTicks=50000
+engineFastTicks=0
+engineFullTicks=50000
+periodicFires=1
+demandCalls=250000
+advanceCalls=250000
+fastTaskTicks=0
+resolveCacheHits=801
+resolveCacheMisses=49199
+mcCacheHits=137577
+mcCacheMisses=59219
+memFastTicks=0
+)");
 }

@@ -27,6 +27,7 @@
 #include "fleet/fleet.hh"
 #include "fuzz/oracle.hh"
 #include "sim/rng.hh"
+#include "workload/catalog.hh"
 
 namespace {
 
@@ -222,6 +223,88 @@ TEST(SweepRunner, FleetProfileIsBitIdenticalAcrossJobCounts)
         for (size_t i = 0; i < serial.size(); ++i)
             EXPECT_EQ(par[i], serial[i]) << "server " << i << " jobs "
                                          << jobs;
+    }
+}
+
+/** The config standaloneReference(ml) runs. */
+exp::RunConfig
+referenceConfig(wl::MlWorkload ml)
+{
+    exp::RunConfig cfg;
+    cfg.ml = ml;
+    cfg.config = exp::ConfigKind::BL;
+    cfg.cpu.reset();
+    return cfg;
+}
+
+TEST(ReferenceMemo, OverlappingCallersOnThePoolAgree)
+{
+    // Four workers race on the memo: two prewarm overlapping sets
+    // (one on a nested pool, one on the caller) and two read
+    // directly, so one reference may be built by several workers at
+    // once. Every caller must get the bytes the memo keeps. No test
+    // above builds CNN2 or CNN3, so a whole-binary run (as in the
+    // TSan CI job) still starts this one on a cold memo.
+    const wl::MlWorkload cnn3 = wl::MlWorkload::Cnn3;
+    const wl::MlWorkload cnn2 = wl::MlWorkload::Cnn2;
+    const wl::MlWorkload read[] = {cnn3, cnn3, cnn2, cnn2};
+    std::vector<std::string> got(4);
+    exp::runJobs(4, 4, [&](int i) {
+        if (i == 0) {
+            exp::prewarmReferences(
+                {referenceConfig(cnn3), referenceConfig(cnn2)}, 2);
+        } else if (i == 2) {
+            exp::prewarmReferences({referenceConfig(cnn2)}, 2);
+        }
+        got[static_cast<size_t>(i)] = fuzz::resultTextWithCounters(
+            exp::standaloneReference(read[i]));
+    });
+    for (int i = 0; i < 4; ++i)
+        EXPECT_EQ(got[static_cast<size_t>(i)],
+                  fuzz::resultTextWithCounters(
+                      exp::standaloneReference(read[i])))
+            << "worker " << i;
+}
+
+TEST(ReferenceMemo, SloRunDuringPrewarmMatchesRunAfter)
+{
+    // The SLO configure path reads the memo for its reference perf.
+    exp::RunConfig slo;
+    slo.ml = wl::MlWorkload::Cnn1;
+    slo.cpu = wl::CpuWorkload::DramAggressor;
+    slo.cpuInstances = 2;
+    slo.config = exp::ConfigKind::KP;
+    slo.slo.enabled = true;
+    slo.warmup = 2.0;
+    slo.measure = 4.0;
+    std::string during;
+    exp::runJobs(2, 2, [&](int i) {
+        if (i == 0) {
+            exp::prewarmReferences({referenceConfig(wl::MlWorkload::Cnn1),
+                                    referenceConfig(wl::MlWorkload::Cnn3)},
+                                   2);
+        } else {
+            during = fuzz::resultTextWithCounters(exp::runScenario(slo));
+        }
+    });
+    EXPECT_TRUE(exp::referenceMemoized(wl::MlWorkload::Cnn1));
+    EXPECT_EQ(during, fuzz::resultTextWithCounters(exp::runScenario(slo)));
+}
+
+TEST(ReferenceMemo, PoolPrewarmMatchesDirectRuns)
+{
+    // Whatever the tests above left in the memo, the missing
+    // references build on the pool.
+    std::vector<exp::RunConfig> cfgs;
+    for (wl::MlWorkload ml : wl::allMlWorkloads())
+        cfgs.push_back(referenceConfig(ml));
+    exp::prewarmReferences(cfgs, 4);
+    for (wl::MlWorkload ml : wl::allMlWorkloads()) {
+        EXPECT_TRUE(exp::referenceMemoized(ml)) << wl::mlName(ml);
+        EXPECT_EQ(fuzz::resultTextWithCounters(exp::standaloneReference(ml)),
+                  fuzz::resultTextWithCounters(
+                      exp::runScenario(referenceConfig(ml))))
+            << wl::mlName(ml);
     }
 }
 
